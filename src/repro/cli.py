@@ -556,9 +556,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             for key in health["quarantined"]
             if key.split(":", 1)[0] not in allowed
         )
-        print(f"fault containment:   {'LEAKED ' + str(escaped) if escaped else 'OK'}"
-              f"  (allowed: {sorted(allowed)})")
-        ok = ok and not escaped
+        # A run where nothing degraded never exercised containment.
+        if escaped:
+            verdict = "LEAKED " + str(escaped)
+        elif degraded == 0:
+            verdict = "VACUOUS"
+        else:
+            verdict = "OK"
+        print(f"fault containment:   {verdict}  (allowed: {sorted(allowed)})")
+        ok = ok and verdict == "OK"
     print("CHAOS OK" if ok else "CHAOS FAILED")
     return 0 if ok else 1
 
@@ -972,7 +978,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         action="append",
         help="confine faults to this shard id (repeatable); enables the "
-        "containment gate asserting only listed shards degrade",
+        "containment gate asserting only listed shards degrade, and that "
+        "some answer did",
     )
     p_chaos.add_argument(
         "--serve",

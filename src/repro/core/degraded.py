@@ -178,6 +178,23 @@ class ScanFallback:
         doc = query.doc if keywords is None else keywords
         return self._rank(self._table(), query, missing, doc)
 
+    def dominator_counts(
+        self,
+        query: SpatialKeywordQuery,
+        missing: Sequence[SpatialObject],
+        keyword_sets: Sequence[KeywordSet],
+    ) -> List[List[int]]:
+        """Per keyword set, each missing object's strict dominator count.
+
+        The exact values a KcR traversal's per-object bounds converge
+        to, from one packed snapshot for the whole batch.
+        """
+        table = self._table()
+        return [
+            [self._rank(table, query, (m,), keywords) - 1 for m in missing]
+            for keywords in keyword_sets
+        ]
+
     # ------------------------------------------------------------------
     # why-not answering (BS semantics over the scan)
     # ------------------------------------------------------------------

@@ -531,12 +531,14 @@ class WhyNotEngine:
     ) -> WhyNotAnswer:
         """Fan one question across the shard set.
 
-        Storage faults never propagate: the searchers and the KcR
-        driver contain them per shard (exact scan substitution), so the
-        answer is always the bit-exact one — flagged ``degraded`` while
-        any shard is down.  The accrued fan-out discount (``Σ busy −
-        max busy`` per parallel region) is subtracted here, reporting
-        the makespan-simulated elapsed time.
+        BS and AdvancedBS run over the ``setr`` view; KcR runs the one
+        :class:`KcRAlgorithm` driver over the index, one traversal per
+        shard.  Storage faults never propagate: the searchers and the
+        KcR rounds contain them per shard (exact ``ScanFallback``
+        substitution), so the answer is always the bit-exact one —
+        flagged ``degraded`` while any shard is down.  The accrued
+        fan-out discount (``Σ busy − max busy`` per parallel region) is
+        subtracted here, reporting the makespan-simulated elapsed time.
         """
         index = self.sharded_index
         kind = "kcr" if method == "kcr" else "setr"
@@ -550,9 +552,7 @@ class WhyNotEngine:
                 index.view("setr"), self.model, **options
             ).answer(question)
         else:
-            from .kcr_sharded import ShardedKcRAlgorithm
-
-            answer = ShardedKcRAlgorithm(index, self.model).answer(question)
+            answer = KcRAlgorithm(index, self.model).answer(question)
         answer.elapsed_seconds = max(
             0.0, answer.elapsed_seconds - index.runtime.consume_discount()
         )

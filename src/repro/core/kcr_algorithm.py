@@ -19,29 +19,64 @@ by edit distance, batches are visited in ascending distance, and the
 whole process stops as soon as the next batch's keyword penalty alone
 cannot beat the incumbent — the same early-termination licence the
 enumeration order gives AdvancedBS.
+
+One driver serves every index layout.  Algorithm 3's tree side is a
+:class:`KcRTraversal`, advanced one node per step; the driver owns the
+global candidate bounds and runs in *rounds*: every traversal with
+work expands one node, the driver applies the summed integer
+contribution deltas, runs one incumbent/prune sweep and broadcasts the
+alive flags to the next round.  An unsharded KcR-tree is the one-shard
+case — one in-process traversal, one node per round, the paper's
+per-node schedule.  A :class:`~repro.index.sharded.ShardedIndex` runs
+one traversal per shard behind its ``kcr_init``/``kcr_step`` worker
+ops, one :meth:`~repro.index.sharded.ShardedIndex.request_many`
+broadcast per round (which books the round's makespan discount).  The
+sharded answer is bit-identical to the unsharded one:
+
+* every object lives in exactly one shard and shards share the global
+  diagonal, so leaf-level exact sums are the same floats;
+* the incumbent's owner is never pruned (its penalty lower bound never
+  exceeds its own upper bound, which *is* the incumbent penalty), and
+  children are only skipped once exact for every alive candidate — so
+  when all traversals exhaust their queues every surviving bound is
+  exact, and :func:`sweep_candidates`'s schedule-independent tie-break
+  picks the same winner, rank and penalty as the single tree;
+* a shard that dies mid-batch is swapped for its exact index-free
+  contribution (``exact − cumulative-so-far``, counted by
+  :class:`~repro.core.degraded.ScanFallback`), which only *tightens*
+  bounds toward the same exact values.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import ensure_not_none
+from ..errors import StorageError, ensure_not_none
 from ..index.kcr_tree import KcRTree
-from ..model.query import WhyNotQuestion
+from ..index.sharded import Shard, ShardedIndex
+from ..model.objects import SpatialObject
+from ..model.query import SpatialKeywordQuery, WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
 from .bounds import NodeTextStats, max_dom, min_dom
 from .candidates import Candidate
 from .context import QuestionContext
+from .degraded import ScanFallback
 from .penalty import PenaltyModel
 from .result import RefinedQuery, SearchCounters, WhyNotAnswer
 
-__all__ = ["KcRAlgorithm", "sweep_candidates"]
+__all__ = ["KcRAlgorithm", "KcRTraversal", "sweep_candidates"]
 
-KeywordSet = FrozenSet[int]
+#: Per-candidate contribution (or delta): ``{s_index: (dmax, dmin)}``
+#: with one integer per missing object in each list.
+Contribution = Dict[int, Tuple[List[int], List[int]]]
+
+#: One round of a traversal (or of every shard's): the contribution
+#: deltas to apply and the number of nodes expanded to produce them.
+Round = Tuple[List[Contribution], int]
 
 
 class _CandidateState:
@@ -80,13 +115,13 @@ class _CandidateState:
 
 
 class KcRAlgorithm:
-    """KcRBased: Algorithms 3 + 4 over the KcR-tree."""
+    """KcRBased: Algorithms 3 + 4 over a KcR-tree or a sharded index."""
 
     name = "KcRBased"
 
     def __init__(
         self,
-        tree: KcRTree,
+        tree: Union[KcRTree, ShardedIndex],
         model: SimilarityModel = JACCARD,
         *,
         vectorize: Optional[bool] = None,
@@ -98,7 +133,12 @@ class KcRAlgorithm:
             )
         from .vectorized import vectorize_enabled
 
-        self.tree = tree
+        self.index = tree if isinstance(tree, ShardedIndex) else None
+        # The question context and the I/O ledger read a sharded index
+        # through its summed KcR view.
+        self.tree: Any = tree
+        if self.index is not None:
+            self.tree = self.index.view("kcr")
         self.model = model
         self.vectorize = vectorize_enabled(vectorize)
         # NodeTextStats is O(|kcm| log |kcm|) to build; cache per aux
@@ -137,7 +177,7 @@ class KcRAlgorithm:
         )
 
     # ------------------------------------------------------------------
-    # Algorithm 3: one-traversal bound-and-prune over a batch
+    # Algorithm 3: the round driver over a batch
     # ------------------------------------------------------------------
     def _bound_and_prune(
         self,
@@ -146,117 +186,178 @@ class KcRAlgorithm:
         best: RefinedQuery,
         counters: SearchCounters,
     ) -> RefinedQuery:
-        """Evaluate ``batch`` in one KcR-tree traversal (Algorithm 3)."""
-        tree = self.tree
-        query = context.query
+        """Evaluate ``batch`` with Algorithm 3, one sweep per round."""
         penalty_model = context.penalty_model
-        alpha = query.alpha
-        beta = 1.0 - alpha
-        missing = context.missing
-        n_missing = len(missing)
-        m_sdist = [
-            tree.dataset.normalized_distance(m.loc, query.loc) for m in missing
-        ]
-        m_spatial = [alpha * (1.0 - d) for d in m_sdist]
-
-        states = [_CandidateState(c, n_missing) for c in batch]
+        states = [_CandidateState(c, len(context.missing)) for c in batch]
         counters.candidates_evaluated += len(states)
-        for state in states:
-            for i, m in enumerate(missing):
-                tsim = self.model.similarity(m.doc, state.candidate.keywords)
-                state.m_tsim[i] = tsim
-                state.m_score[i] = m_spatial[i] + beta * tsim
+        rounds: Union[KcRTraversal, _ShardRounds]
+        if self.index is None:
+            rounds = KcRTraversal(
+                self.tree,
+                self.model,
+                context.query,
+                context.missing,
+                batch,
+                stats_cache=self._stats_cache,
+                vectorize=self.vectorize,
+            )
+        else:
+            rounds = _ShardRounds(
+                self.index, self.model, self.vectorize, context, batch
+            )
 
-        # Root-level initial bounds (Algorithm 3 lines 2-6).
-        root_stats = self._node_stats(tree.root_summary_record)
-        root_rect = ensure_not_none(tree.root_rect, "tree has no root MBR")
-        root_geo = self._geo_offsets(root_rect, query.loc, alpha, m_sdist)
-        contributions: Dict[int, Dict[int, Tuple[List[int], List[int]]]] = {}
-        root_contrib: Dict[int, Tuple[List[int], List[int]]] = {}
-        for s_index, state in enumerate(states):
-            dmax, dmin = self._node_bounds(root_stats, *root_geo, state)
-            state.dmax = list(dmax)
-            state.dmin = list(dmin)
-            root_contrib[s_index] = (dmax, dmin)
-        contributions[tree.root_id] = root_contrib
-
-        best_owner: Optional[_CandidateState] = None
-        best, best_owner = self._sweep_candidates(
-            states, penalty_model, best, best_owner, counters
+        # Root bounds (lines 2-6), then one node per traversal per
+        # round (lines 14-30), each round ending in one sweep.
+        contributions, _ = rounds.start()
+        for deltas in contributions:
+            _apply(states, deltas)
+        best, best_owner = sweep_candidates(
+            states, penalty_model, best, None, counters
         )
-        alive_count = sum(1 for s in states if s.alive)
-        if alive_count == 0:
-            return best
-
-        queue: Deque[int] = deque([tree.root_id])
-        while queue:
-            node_id = queue.popleft()
-            counters.nodes_expanded += 1
-            node_contrib = contributions.pop(node_id, None)
-            if node_contrib is None:
-                continue  # contribution superseded; nothing to refine
-            node = tree.fetch_node(node_id)
-
-            if node.is_leaf:
-                child_sums = self._leaf_exact_sums(node, states, query, alpha, beta)
-            else:
-                child_sums, child_infos = self._branch_child_bounds(
-                    node, states, query.loc, alpha, m_sdist
-                )
-
-            # Lines 18-19: replace this node's contribution with the
-            # children's sums, per candidate and per missing object.
-            for s_index, state in enumerate(states):
-                if not state.alive:
-                    continue
-                old_max, old_min = node_contrib[s_index]
-                new_max, new_min = child_sums[s_index]
-                for i in range(n_missing):
-                    state.dmax[i] += new_max[i] - old_max[i]
-                    state.dmin[i] += new_min[i] - old_min[i]
-
-            best, best_owner = self._sweep_candidates(
+        while rounds.has_more() and any(state.alive for state in states):
+            contributions, expanded = rounds.step(
+                tuple(state.alive for state in states)
+            )
+            counters.nodes_expanded += expanded
+            if not contributions:
+                continue  # no traversal had a node left to expand
+            for deltas in contributions:
+                _apply(states, deltas)
+            best, best_owner = sweep_candidates(
                 states, penalty_model, best, best_owner, counters
             )
-            if not any(state.alive for state in states):
-                return best
-
-            if not node.is_leaf:
-                for entry, per_candidate in child_infos:
-                    # Line 29-30: skip children whose bounds are already
-                    # exact for every alive candidate.
-                    useful = any(
-                        states[s_index].alive
-                        and per_candidate[s_index][0] != per_candidate[s_index][1]
-                        for s_index in range(len(states))
-                    )
-                    if not useful:
-                        continue
-                    contributions[entry.child_id] = {
-                        s_index: per_candidate[s_index]
-                        for s_index in range(len(states))
-                    }
-                    queue.append(entry.child_id)
         return best
 
+
+def _apply(states: Sequence[_CandidateState], deltas: Contribution) -> None:
+    for s_index, (delta_max, delta_min) in deltas.items():
+        state = states[s_index]
+        for i in range(len(delta_max)):
+            state.dmax[i] += delta_max[i]
+            state.dmin[i] += delta_min[i]
+
+
+class KcRTraversal:
+    """Algorithm 3's tree side over one KcR-tree, one node per round.
+
+    :meth:`start` does the root initialisation (lines 2-6) and each
+    :meth:`step` expands one node (lines 14-19); both return a
+    :data:`Round`.  The driver owns the global candidate bounds; this
+    side only reports contribution deltas and honours the broadcast
+    ``alive`` flags.  It lives where the tree lives: in-process for an
+    unsharded tree or a ``simulate`` shard, inside the forked worker for
+    a ``process`` shard.
+
+    ``stats_cache`` is the caller's NodeTextStats memo, kept for one
+    question across its batches.
+    """
+
+    def __init__(
+        self,
+        tree: KcRTree,
+        model: SimilarityModel,
+        query: SpatialKeywordQuery,
+        missing: Sequence[SpatialObject],
+        batch: Sequence[Candidate],
+        *,
+        stats_cache: Dict[int, NodeTextStats],
+        vectorize: bool,
+    ) -> None:
+        self.tree = tree
+        self.query = query
+        self.alpha = query.alpha
+        self.beta = 1.0 - query.alpha
+        self.stats_cache = stats_cache
+        self.vectorize = vectorize
+        self.m_sdist = [
+            tree.dataset.normalized_distance(m.loc, query.loc) for m in missing
+        ]
+        m_spatial = [self.alpha * (1.0 - d) for d in self.m_sdist]
+        self.states = [_CandidateState(c, len(missing)) for c in batch]
+        for state in self.states:
+            for i, m in enumerate(missing):
+                tsim = model.similarity(m.doc, state.candidate.keywords)
+                state.m_tsim[i] = tsim
+                state.m_score[i] = m_spatial[i] + self.beta * tsim
+        self.queue: Deque[Tuple[int, Contribution]] = deque()
+        # The last branch's (child id, per-candidate bounds), enqueued
+        # on the next step once the round's sweep has set the flags.
+        self._children: List[Tuple[int, Contribution]] = []
+
+    def start(self) -> Round:
+        """The root-level initial bounds, as a delta against zero."""
+        tree = self.tree
+        root_stats = self._node_stats(tree.root_summary_record)
+        root_rect = ensure_not_none(tree.root_rect, "tree has no root MBR")
+        root_geo = self._geo_offsets(root_rect)
+        initial: Contribution = {
+            s_index: self._node_bounds(root_stats, *root_geo, state)
+            for s_index, state in enumerate(self.states)
+        }
+        self.queue.append((tree.root_id, initial))
+        return [initial], 0
+
+    def has_more(self) -> bool:
+        return bool(self.queue or self._children)
+
+    def step(self, alive: Sequence[bool]) -> Round:
+        """Expand one node; return the contribution deltas it caused.
+
+        First enqueues the previous branch's children that can still
+        tighten a candidate alive after the round's sweep (lines
+        29-30), then replaces the next node's contribution with its
+        children's sums.  Empty when no node was left to expand.
+        """
+        states = self.states
+        for state, flag in zip(states, alive):
+            state.alive = flag
+        for child_id, per_candidate in self._children:
+            # Skip children whose bounds are already exact for every
+            # alive candidate.
+            if any(
+                state.alive
+                and per_candidate[s_index][0] != per_candidate[s_index][1]
+                for s_index, state in enumerate(states)
+            ):
+                self.queue.append((child_id, per_candidate))
+        self._children = []
+        if not self.queue:
+            return [], 0
+
+        node_id, node_contrib = self.queue.popleft()
+        node = self.tree.fetch_node(node_id)
+        if node.is_leaf:
+            child_sums = self._leaf_exact_sums(node)
+        else:
+            child_sums, self._children = self._branch_child_bounds(node)
+        deltas: Contribution = {}
+        for s_index, state in enumerate(states):
+            if not state.alive:
+                continue
+            old_max, old_min = node_contrib[s_index]
+            new_max, new_min = child_sums[s_index]
+            deltas[s_index] = (
+                [new - old for new, old in zip(new_max, old_max)],
+                [new - old for new, old in zip(new_min, old_min)],
+            )
+        return [deltas], 1
+
     # ------------------------------------------------------------------
-    # helpers
+    # node helpers
     # ------------------------------------------------------------------
     def _node_stats(self, aux_record: int) -> NodeTextStats:
-        stats = self._stats_cache.get(aux_record)
+        stats = self.stats_cache.get(aux_record)
         if stats is None:
             cnt, kcm = self.tree.fetch_kcm(aux_record)
             stats = NodeTextStats(cnt, kcm)
-            self._stats_cache[aux_record] = stats
+            self.stats_cache[aux_record] = stats
         else:
             # Still charge the fetch so I/O accounting matches a real
             # traversal; the buffer pool decides hit or miss.
             self.tree.fetch_kcm(aux_record)
         return stats
 
-    def _geo_offsets(
-        self, rect, query_loc, alpha: float, m_sdist: Sequence[float]
-    ) -> Tuple[List[float], List[float]]:
+    def _geo_offsets(self, rect) -> Tuple[List[float], List[float]]:
         """Geometric halves of the Theorem-2 thresholds for one node.
 
         ``L_i = geo_lower[i] + TSim(m_i, S)`` and likewise for ``U_i``;
@@ -265,11 +366,11 @@ class KcRAlgorithm:
         saving for large candidate batches.
         """
         diagonal = self.tree.dataset.diagonal
-        min_d = min(1.0, rect.min_dist(query_loc) / diagonal)
-        max_d = min(1.0, rect.max_dist(query_loc) / diagonal)
-        ratio = alpha / (1.0 - alpha)
-        geo_lower = [ratio * (min_d - sdist) for sdist in m_sdist]
-        geo_upper = [ratio * (max_d - sdist) for sdist in m_sdist]
+        min_d = min(1.0, rect.min_dist(self.query.loc) / diagonal)
+        max_d = min(1.0, rect.max_dist(self.query.loc) / diagonal)
+        ratio = self.alpha / (1.0 - self.alpha)
+        geo_lower = [ratio * (min_d - sdist) for sdist in self.m_sdist]
+        geo_upper = [ratio * (max_d - sdist) for sdist in self.m_sdist]
         return geo_lower, geo_upper
 
     def _node_bounds(
@@ -310,33 +411,26 @@ class KcRAlgorithm:
         return dmax, dmin
 
     def _branch_child_bounds(
-        self,
-        node,
-        states: Sequence[_CandidateState],
-        query_loc,
-        alpha: float,
-        m_sdist: Sequence[float],
-    ):
+        self, node
+    ) -> Tuple[Contribution, List[Tuple[int, Contribution]]]:
         """Bounds for every child of a branch node, per candidate.
 
         Returns ``(child_sums, child_infos)`` where ``child_sums`` maps
         candidate index to summed (dmax, dmin) vectors and
-        ``child_infos`` pairs each child entry with its per-candidate
+        ``child_infos`` pairs each child id with its per-candidate
         bounds for contribution bookkeeping.
         """
-        n_missing = len(m_sdist)
+        n_missing = len(self.m_sdist)
         child_infos = []
-        child_sums: Dict[int, Tuple[List[int], List[int]]] = {
+        child_sums: Contribution = {
             s_index: ([0] * n_missing, [0] * n_missing)
-            for s_index in range(len(states))
+            for s_index in range(len(self.states))
         }
         for entry in node.child_entries:
             stats = self._node_stats(entry.aux_record)
-            geo_lower, geo_upper = self._geo_offsets(
-                entry.rect, query_loc, alpha, m_sdist
-            )
-            per_candidate: Dict[int, Tuple[List[int], List[int]]] = {}
-            for s_index, state in enumerate(states):
+            geo_lower, geo_upper = self._geo_offsets(entry.rect)
+            per_candidate: Contribution = {}
+            for s_index, state in enumerate(self.states):
                 if not state.alive:
                     per_candidate[s_index] = (
                         [0] * n_missing,
@@ -349,17 +443,10 @@ class KcRAlgorithm:
                 for i in range(n_missing):
                     sums[0][i] += dmax[i]
                     sums[1][i] += dmin[i]
-            child_infos.append((entry, per_candidate))
+            child_infos.append((entry.child_id, per_candidate))
         return child_sums, child_infos
 
-    def _leaf_exact_sums(
-        self,
-        node,
-        states: Sequence[_CandidateState],
-        query,
-        alpha: float,
-        beta: float,
-    ) -> Dict[int, Tuple[List[int], List[int]]]:
+    def _leaf_exact_sums(self, node) -> Contribution:
         """Exact dominator counts for the objects of a leaf node.
 
         Vectorised over the leaf's objects with a term-incidence
@@ -373,7 +460,9 @@ class KcRAlgorithm:
         per-object (I/O-accounted); only the arithmetic is batched.
         """
         tree = self.tree
-        n_missing = len(states[0].m_score) if states else 0
+        query, alpha, beta = self.query, self.alpha, self.beta
+        states = self.states
+        n_missing = len(self.m_sdist)
         entries = node.object_entries
         docs = [tree.fetch_doc(entry.doc_record) for entry in entries]
         packed = tree.packed_leaf(node) if self.vectorize else None
@@ -402,7 +491,7 @@ class KcRAlgorithm:
             dtype=np.float64,
         )
 
-        sums: Dict[int, Tuple[List[int], List[int]]] = {
+        sums: Contribution = {
             s_index: ([0] * n_missing, [0] * n_missing)
             for s_index in range(len(states))
         }
@@ -433,15 +522,109 @@ class KcRAlgorithm:
                 dmin[i] += count
         return sums
 
-    def _sweep_candidates(
+
+class _ShardRounds:
+    """The sharded round source: one :class:`KcRTraversal` per shard,
+    one :meth:`~repro.index.sharded.ShardedIndex.request_many` per
+    round.
+
+    A shard that is down, or fails mid-batch, is quarantined and its
+    traversal replaced by its exact index-free counts.
+    """
+
+    def __init__(
         self,
-        states: Sequence[_CandidateState],
-        penalty_model: PenaltyModel,
-        best: RefinedQuery,
-        best_owner: Optional[_CandidateState],
-        counters: SearchCounters,
-    ) -> Tuple[RefinedQuery, Optional[_CandidateState]]:
-        return sweep_candidates(states, penalty_model, best, best_owner, counters)
+        index: ShardedIndex,
+        model: SimilarityModel,
+        vectorize: bool,
+        context: QuestionContext,
+        batch: Sequence[Candidate],
+    ) -> None:
+        self.index = index
+        self.model = model
+        self.vectorize = vectorize
+        self.query = context.query
+        self.missing = context.missing
+        self.batch = tuple(batch)
+        self.shards = [shard for shard in index.shards if not shard.is_empty]
+        self.cumulative: Dict[int, Contribution] = {}
+        self.pending: Dict[int, bool] = {}
+
+    def start(self) -> Round:
+        live: List[Shard] = []
+        swapped: List[Contribution] = []
+        for shard in self.shards:
+            if (shard.tid, "kcr") in self.index.runtime.down:
+                swapped.append(self._swap_in_exact(shard))
+            else:
+                live.append(shard)
+        init = (
+            "kcr_init",
+            self.query,
+            self.missing,
+            self.batch,
+            self.model,
+            self.vectorize,
+        )
+        contributions, _ = self._round(live, init)
+        return swapped + contributions, 0
+
+    def has_more(self) -> bool:
+        return any(self.pending.values())
+
+    def step(self, alive: Sequence[bool]) -> Round:
+        stepping = [shard for shard in self.shards if self.pending[shard.tid]]
+        return self._round(stepping, ("kcr_step", alive))
+
+    def _round(self, shards: Sequence[Shard], message: Tuple) -> Round:
+        """One broadcast: every shard's round, summed."""
+        replies = self.index.request_many(
+            [(shard, message) for shard in shards]
+        )
+        contributions: List[Contribution] = []
+        expanded = 0
+        for shard, reply in zip(shards, replies):
+            if isinstance(reply, StorageError):
+                self.index.mark_down(shard, "kcr", message[0], reply)
+                contributions.append(self._swap_in_exact(shard))
+                continue
+            ((shard_deltas, shard_expanded), more), _busy = reply
+            self.pending[shard.tid] = more
+            expanded += shard_expanded
+            total = self.cumulative.setdefault(shard.tid, {})
+            for deltas in shard_deltas:
+                for s_index, (delta_max, delta_min) in deltas.items():
+                    n_missing = len(delta_max)
+                    pair = total.setdefault(
+                        s_index, ([0] * n_missing, [0] * n_missing)
+                    )
+                    for i in range(n_missing):
+                        pair[0][i] += delta_max[i]
+                        pair[1][i] += delta_min[i]
+                contributions.append(deltas)
+        return contributions, expanded
+
+    def _swap_in_exact(self, shard: Shard) -> Contribution:
+        """Replace a shard's bound contribution with its exact counts.
+
+        ``delta = exact − cumulative`` keeps the driver's running sums
+        consistent whether the shard failed before contributing, mid
+        batch, or was down from the start.
+        """
+        exact = ScanFallback(shard.dataset, self.model).dominator_counts(
+            self.query, self.missing, [c.keywords for c in self.batch]
+        )
+        previous = self.cumulative.get(shard.tid, {})
+        deltas: Contribution = {}
+        for s_index, counts in enumerate(exact):
+            zeros = [0] * len(counts)
+            prev_max, prev_min = previous.get(s_index, (zeros, zeros))
+            deltas[s_index] = (
+                [count - p for count, p in zip(counts, prev_max)],
+                [count - p for count, p in zip(counts, prev_min)],
+            )
+        self.pending[shard.tid] = False
+        return deltas
 
 
 def sweep_candidates(
@@ -453,11 +636,11 @@ def sweep_candidates(
 ) -> Tuple[RefinedQuery, Optional[_CandidateState]]:
     """Lines 20-26: update the incumbent and prune candidates.
 
-    Shared between the single-tree traversal above and the sharded
-    driver (:mod:`repro.core.kcr_sharded`), whose per-round node
-    schedule differs from the single tree's per-node schedule — the
-    sweep must therefore be *schedule-independent* so both engines
-    report the identical incumbent.
+    Run once per round by the driver above.  A sharded round expands
+    one node per shard, so its bound trajectory differs from the
+    single tree's one node per round — the sweep must therefore be
+    *schedule-independent* so every shard count reports the identical
+    incumbent.
 
     The incumbent snapshot is refreshed not only when another
     candidate strictly improves the penalty, but also when the

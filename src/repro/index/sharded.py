@@ -597,19 +597,30 @@ def _worker_execute(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
             query, missing, keywords=keywords, stop_limit=stop_limit
         )
     if op == "kcr_init":
-        from ..core.kcr_sharded import ShardTraversal  # lazy: import cycle
+        from ..core.kcr_algorithm import KcRTraversal  # lazy: import cycle
 
-        _, query, missing, batch, model = message
-        traversal = ShardTraversal(
-            shard.built_tree("kcr"), model, query, missing, batch
+        _, query, missing, batch, model, vectorize = message
+        tree = shard.built_tree("kcr")
+        # One NodeTextStats memo per question (and tree), kept across
+        # the question's batches as in the unsharded run.
+        memo = state.get("kcr_stats")
+        if memo is None or memo[0] is not tree or memo[1] != (query, missing):
+            memo = state["kcr_stats"] = (tree, (query, missing), {})
+        traversal = KcRTraversal(
+            tree,
+            model,
+            query,
+            missing,
+            batch,
+            stats_cache=memo[2],
+            vectorize=vectorize,
         )
         state["kcr_traversal"] = traversal
-        return traversal.initial_deltas(), traversal.has_more()
+        return traversal.start(), traversal.has_more()
     if op == "kcr_step":
         _, alive = message
         traversal = state["kcr_traversal"]
-        deltas = traversal.step(alive)
-        return deltas, traversal.has_more()
+        return traversal.step(alive), traversal.has_more()
     raise InvalidParameterError(f"unknown shard op {op!r}")
 
 
@@ -771,24 +782,6 @@ class _ProcessBackend:
 # ----------------------------------------------------------------------
 # index-free per-shard fallback (failure containment)
 # ----------------------------------------------------------------------
-def _scan_scores(
-    dataset: Dataset,
-    query: SpatialKeywordQuery,
-    keywords: KeywordSet,
-    model: SimilarityModel,
-) -> List[Tuple[float, int]]:
-    """Every object's exact Eqn-1 score — the same float operations as
-    :meth:`TopKSearcher._object_score`, so a down shard's scan results
-    merge bit-identically with the other shards' tree results."""
-    scored: List[Tuple[float, int]] = []
-    for obj in dataset.objects:
-        dist = dataset.normalized_distance(obj.loc, query.loc)
-        textual = model.similarity(obj.doc, keywords)
-        score = query.alpha * (1.0 - dist) + (1.0 - query.alpha) * textual
-        scored.append((score, obj.oid))
-    return scored
-
-
 def _scan_top_k(
     dataset: Dataset,
     query: SpatialKeywordQuery,
@@ -796,9 +789,14 @@ def _scan_top_k(
     keywords: KeywordSet,
     model: SimilarityModel,
 ) -> List[Tuple[float, int]]:
-    scored = _scan_scores(dataset, query, keywords, model)
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return scored[:limit]
+    """A down shard's top-k from :class:`~repro.core.degraded.ScanFallback`,
+    whose scores merge bit-identically with the other shards' tree
+    results."""
+    from ..core.degraded import ScanFallback  # lazy: import cycle
+
+    return ScanFallback(dataset, model).top_k(
+        query, k=limit, keywords=keywords
+    )
 
 
 def _scan_rank(
@@ -816,20 +814,16 @@ def _scan_rank(
     strict dominators the same way and applying the same cap makes a
     down shard's contribution bit-identical to the tree's.
     """
+    from ..core.degraded import ScanFallback  # lazy: import cycle
+
     doc = query.doc if keywords is None else keywords
-    alpha = query.alpha
-    beta = 1.0 - alpha
-    threshold = min(
-        alpha * (1.0 - dataset.normalized_distance(m.loc, query.loc))
-        + beta * model.similarity(m.doc, doc)
-        for m in missing
+    fallback = ScanFallback(dataset, model)
+    threshold = min(fallback.score(m, query, doc) for m in missing)
+    dominators = tuple(
+        oid
+        for score, oid in fallback.top_k(query, k=len(dataset), keywords=doc)
+        if score > threshold
     )
-    dominating = [
-        pair for pair in _scan_scores(dataset, query, doc, model)
-        if pair[0] > threshold
-    ]
-    dominating.sort(key=lambda pair: (-pair[0], pair[1]))
-    dominators = tuple(oid for _, oid in dominating)
     if stop_limit is not None:
         cap = max(stop_limit, 1)
         if len(dominators) >= cap:
@@ -1130,6 +1124,10 @@ class ShardedIndex:
         # Serializes lazy warm-on-query: concurrent serving threads
         # must not race the per-shard build bookkeeping.
         self._build_lock = threading.Lock()
+        # Guards what concurrent queries share through the fan-out:
+        # the lazily created backends, the makespan discount every
+        # round accrues and the quarantine set.
+        self._runtime_lock = threading.Lock()
         self._warmed: set = set()
         self._model: SimilarityModel = JACCARD
 
@@ -1282,13 +1280,14 @@ class ShardedIndex:
 
     # -- execution -----------------------------------------------------
     def _backend(self, shard: Shard) -> Any:
-        backend = self._backends.get(shard.tid)
-        if backend is None:
-            if self.mode == "process":
-                backend = _ProcessBackend(shard)
-            else:
-                backend = _SimulateBackend(shard)
-            self._backends[shard.tid] = backend
+        with self._runtime_lock:
+            backend = self._backends.get(shard.tid)
+            if backend is None:
+                if self.mode == "process":
+                    backend = _ProcessBackend(shard)
+                else:
+                    backend = _SimulateBackend(shard)
+                self._backends[shard.tid] = backend
         return backend
 
     def request(self, shard: Shard, message: Tuple) -> Tuple[Any, float]:
@@ -1333,32 +1332,34 @@ class ShardedIndex:
             busys = [reply[1] for reply in results if not isinstance(reply, StorageError)]
             if busys:
                 round_wall = time.perf_counter() - started
-                self.runtime.discount_seconds += max(
-                    0.0, round_wall - max(busys)
-                )
+                with self._runtime_lock:
+                    self.runtime.discount_seconds += max(
+                        0.0, round_wall - max(busys)
+                    )
         return results
 
     def mark_down(
         self, shard: Shard, kind: str, operation: str, exc: StorageError
     ) -> None:
         """Quarantine one shard tree after an unrecoverable fault."""
-        key = (shard.tid, kind)
-        if key in self.runtime.down:
-            return
-        self.runtime.down.add(key)
         # Imported lazily: repro.core's package init imports the engine,
         # which reaches back into this module.
         from ..core.result import FaultEvent
 
-        self.runtime.fault_events.append(
-            FaultEvent(
-                tree=f"shard-{shard.tid}:{kind}",
-                operation=operation,
-                error=type(exc).__name__,
-                record_id=getattr(exc, "record_id", None),
-                detail=str(exc),
+        key = (shard.tid, kind)
+        with self._runtime_lock:
+            if key in self.runtime.down:
+                return
+            self.runtime.down.add(key)
+            self.runtime.fault_events.append(
+                FaultEvent(
+                    tree=f"shard-{shard.tid}:{kind}",
+                    operation=operation,
+                    error=type(exc).__name__,
+                    record_id=getattr(exc, "record_id", None),
+                    detail=str(exc),
+                )
             )
-        )
 
     def ensure_built(
         self, kind: str, model: SimilarityModel = JACCARD

@@ -2,9 +2,19 @@
 
 import pytest
 
-from repro import KcRAlgorithm, KcRTree, make_micro_example
+from repro import KcRTree, SpatialKeywordQuery, make_micro_example
 from repro.core.candidates import Candidate
-from repro.core.kcr_algorithm import _CandidateState
+from repro.core.kcr_algorithm import KcRTraversal, _CandidateState
+from repro.model.similarity import JACCARD
+
+
+def _traversal(dataset, tree):
+    """An empty-batch traversal for the paper's micro query at (0, 0)."""
+    query = SpatialKeywordQuery(loc=(0.0, 0.0), doc=frozenset({1}), k=1)
+    missing = (dataset.get(0), dataset.get(1))
+    return KcRTraversal(
+        tree, JACCARD, query, missing, [], stats_cache={}, vectorize=False
+    )
 
 
 class TestCandidateState:
@@ -42,21 +52,21 @@ class TestAlgorithmPlumbing:
         shortcut: every kcm access must still go through the buffer."""
         dataset, vocab = micro
         tree = KcRTree(dataset, capacity=2)
-        algorithm = KcRAlgorithm(tree)
+        traversal = _traversal(dataset, tree)
         record = tree.root_summary_record
         tree.reset_buffer()
         before = tree.stats.snapshot()
-        algorithm._node_stats(record)
+        traversal._node_stats(record)
         first = tree.stats.snapshot() - before
         assert first.page_reads > 0
         before = tree.stats.snapshot()
-        algorithm._node_stats(record)  # cached stats, buffered page
+        traversal._node_stats(record)  # cached stats, buffered page
         second = tree.stats.snapshot() - before
         assert second.buffer_hits == 1
         assert second.page_reads == 0
         tree.reset_buffer()
         before = tree.stats.snapshot()
-        algorithm._node_stats(record)  # cached stats, cold buffer
+        traversal._node_stats(record)  # cached stats, cold buffer
         third = tree.stats.snapshot() - before
         assert third.page_reads > 0  # the fetch is still charged
 
@@ -70,10 +80,6 @@ class TestAlgorithmPlumbing:
         """geo_lower <= geo_upper componentwise (MinDist <= MaxDist)."""
         dataset, _ = micro
         tree = KcRTree(dataset, capacity=2)
-        algorithm = KcRAlgorithm(tree)
-        rect = tree.root_rect
-        lower, upper = algorithm._geo_offsets(
-            rect, (0.0, 0.0), 0.5, [0.2, 0.7]
-        )
+        lower, upper = _traversal(dataset, tree)._geo_offsets(tree.root_rect)
         for lo, hi in zip(lower, upper):
             assert lo <= hi + 1e-12

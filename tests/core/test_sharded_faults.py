@@ -13,6 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro import WhyNotEngine
+from repro.errors import CorruptRecordError
+from repro.index import sharded
 from repro.storage.faults import FaultInjector, FaultSchedule
 
 BRUTAL = FaultSchedule(bit_rot_rate=0.3, lost_record_rate=0.2)
@@ -89,6 +91,37 @@ class TestFaultContainment:
         health = chaotic.health()
         for key in health["quarantined"]:
             assert key.startswith("shard-0:")
+
+    def test_kcr_shard_dying_mid_batch(
+        self, euro_engine, euro_small, euro_cases, monkeypatch
+    ):
+        """A shard whose traversal dies after its init succeeded is
+        swapped for its exact counts (``exact − cumulative``): the
+        answer stays exact and only that shard is flagged."""
+        dataset, _ = euro_small
+        engine = WhyNotEngine(dataset, shards=4)
+        case = euro_cases[0]
+        real = sharded._worker_execute
+        steps = {"init": 0, "step": 0}
+
+        def dies_on_second_step(shard, state, message):
+            if shard.tid == 1 and message[0] == "kcr_init":
+                steps["init"] += 1
+            if shard.tid == 1 and message[0] == "kcr_step":
+                steps["step"] += 1
+                if steps["step"] == 2:
+                    raise CorruptRecordError(0, "shard 1 died mid-batch")
+            return real(shard, state, message)
+
+        monkeypatch.setattr(sharded, "_worker_execute", dies_on_second_step)
+        answer = engine.answer(case, method="kcr")
+        engine.close()
+        assert steps["step"] == 2, "shard 1 never reached a later step"
+        assert steps["init"] >= 1
+        assert answer.refined == euro_engine.answer(case, method="kcr").refined
+        assert answer.degraded
+        assert answer.fault_events
+        assert {event.tree for event in answer.fault_events} == {"shard-1:kcr"}
 
     def test_untargeted_engine_can_fault_any_shard(self, euro_small):
         """Without ``fault_shards`` every shard forks the injector —

@@ -10,9 +10,14 @@ guards, persistence round-trip, and the manifest sanitizer kinds.
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import InvalidParameterError, WhyNotEngine
+from repro.errors import StorageError
 from repro.analysis.sanitize import check_shard_manifest
 from repro.index.sharded import ShardedIndex, load_sharded, save_sharded
 from repro.storage.faults import FaultInjector
@@ -53,12 +58,29 @@ class TestShardedParity:
         self, euro_engine, sharded_engines, euro_cases, method, n_shards
     ):
         engine = sharded_engines[n_shards]
+        ambient_faults = FaultInjector.from_env() is not None
         for case in euro_cases:
+            if n_shards == 1:
+                # The fixtures are shared across tests, so buffer
+                # warmth would otherwise differ between the engines.
+                euro_engine.reset_buffers()
+                engine.reset_buffers()
             base = euro_engine.answer(case, method=method)
             answer = engine.answer(case, method=method)
             assert answer.refined == base.refined
             assert answer.initial_rank == base.initial_rank
             assert not answer.degraded
+            if n_shards == 1:
+                # One shard is the unsharded run: same cost, not only
+                # the same answer.  Under REPRO_FAULTS the injected
+                # retries differ per pool; the deterministic I/O fields
+                # must still match.
+                if ambient_faults:
+                    for field in ("page_reads", "node_fetches", "buffer_hits"):
+                        assert getattr(answer.io, field) == getattr(base.io, field)
+                else:
+                    assert answer.io == base.io
+                assert answer.counters == base.counters
 
     def test_process_mode_same_answers_and_ledger(
         self, euro_engine, sharded_engines, process_engine, euro_small, euro_cases
@@ -268,3 +290,40 @@ class TestShardedDeterminism:
         index = ShardedIndex.build(dataset, 1)
         assert len(index.shards) == 1
         assert len(index.shards[0].dataset) == len(dataset)
+
+
+class TestShardedConcurrency:
+    def test_racing_threads_share_backends_and_record_faults_once(
+        self, euro_small
+    ):
+        """Serving threads fan out over one index at once: every thread
+        must get the same backend for a shard, and racing quarantines of
+        one shard tree must record a single fault event."""
+        dataset, _ = euro_small
+        index = ShardedIndex.build(dataset, 4)
+        shard = index.shards[0]
+        n_threads = 8
+        barrier = threading.Barrier(n_threads, timeout=30)
+
+        def race(_):
+            barrier.wait()
+            backend = index._backend(shard)
+            index.mark_down(shard, "kcr", "stress", StorageError("racing"))
+            return backend
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                backends = [
+                    future.result(timeout=60)
+                    for future in [
+                        pool.submit(race, i) for i in range(n_threads)
+                    ]
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        index.close()
+        assert all(backend is backends[0] for backend in backends)
+        assert len(index.runtime.fault_events) == 1
+        assert index.runtime.down == {(shard.tid, "kcr")}

@@ -30,13 +30,13 @@ rank is determined by the index search with the early-stop limit.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from ..errors import InvalidParameterError, ensure_not_none
 from ..model.numeric import approx_zero
 from ..index.kcr_tree import KcRTree
 from ..index.rtree import RTreeBase
-from ..index.setr_tree import SetRTree
+from ..index.sharded import ShardedIndex
 from ..model.query import WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
 from .context import QuestionContext
@@ -163,14 +163,15 @@ class IntegratedAlgorithm:
 
     def __init__(
         self,
-        kcr_tree: KcRTree,
+        kcr_tree: Union[KcRTree, ShardedIndex],
         model: SimilarityModel = JACCARD,
         *,
         n_samples: int = 64,
     ) -> None:
         self.keyword_algorithm = KcRAlgorithm(kcr_tree, model)
+        # α-refinement reads the same KcR data (a shard set's KcR view).
         self.alpha_algorithm = AlphaRefinementAlgorithm(
-            kcr_tree, model, n_samples=n_samples
+            self.keyword_algorithm.tree, model, n_samples=n_samples
         )
 
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:

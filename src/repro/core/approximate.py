@@ -17,12 +17,11 @@ reproduces via the ``strategy`` knob.
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..errors import InvalidParameterError, ensure_not_none
 from ..index.kcr_tree import KcRTree
-from ..index.rtree import RTreeBase
-from ..index.setr_tree import SetRTree
+from ..index.sharded import ShardedIndex
 from ..model.query import WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
 from .candidates import Candidate
@@ -42,8 +41,9 @@ class ApproximateAlgorithm:
     Parameters
     ----------
     tree:
-        A :class:`SetRTree` for the ``"bs"``/``"advanced"`` strategies
-        or a :class:`KcRTree` for ``"kcr"``.
+        A SetR-tree (or a shard set's SetR view) for the
+        ``"bs"``/``"advanced"`` strategies; a :class:`KcRTree` or a
+        :class:`~repro.index.sharded.ShardedIndex` for ``"kcr"``.
     sample_size:
         ``T`` — how many candidate keyword sets to evaluate.
     strategy:
@@ -52,7 +52,7 @@ class ApproximateAlgorithm:
 
     def __init__(
         self,
-        tree: RTreeBase,
+        tree: Any,
         sample_size: int,
         strategy: str = "kcr",
         model: SimilarityModel = JACCARD,
@@ -65,10 +65,9 @@ class ApproximateAlgorithm:
             raise InvalidParameterError(
                 f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}"
             )
-        if strategy == "kcr" and not isinstance(tree, KcRTree):
-            raise InvalidParameterError("the 'kcr' strategy needs a KcRTree")
-        if strategy in ("bs", "advanced") and not isinstance(tree, SetRTree):
-            raise InvalidParameterError(f"the {strategy!r} strategy needs a SetRTree")
+        if (strategy == "kcr") != isinstance(tree, (KcRTree, ShardedIndex)):
+            needs = "a KcRTree or ShardedIndex" if strategy == "kcr" else "SetR data"
+            raise InvalidParameterError(f"the {strategy!r} strategy needs {needs}")
         self.tree = tree
         self.sample_size = sample_size
         self.strategy = strategy
@@ -81,16 +80,21 @@ class ApproximateAlgorithm:
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
         """Best refined query within the particularity-greedy sample."""
         started = time.perf_counter()
-        io_before = self.tree.stats.snapshot()
-        context = QuestionContext.prepare(question, self.tree, self.model)
+        kcr = None
+        tree = self.tree
+        if self.strategy == "kcr":
+            kcr = KcRAlgorithm(self.tree, self.model)
+            tree = kcr.tree  # a shard set answers through its KcR view
+        io_before = tree.stats.snapshot()
+        context = QuestionContext.prepare(question, tree, self.model)
         counters = SearchCounters()
 
         sample = context.enumerator.top_by_gain(self.sample_size)
         counters.candidates_enumerated = len(sample)
         best = context.basic_refined()
 
-        if self.strategy == "kcr":
-            best = self._evaluate_kcr(context, sample, best, counters)
+        if kcr is not None:
+            best = self._evaluate_kcr(kcr, context, sample, best, counters)
         else:
             best = self._evaluate_sequential(context, sample, best, counters)
 
@@ -99,7 +103,7 @@ class ApproximateAlgorithm:
             initial_rank=context.initial_rank,
             algorithm=self.name,
             elapsed_seconds=time.perf_counter() - started,
-            io=self.tree.stats.snapshot() - io_before,
+            io=tree.stats.snapshot() - io_before,
             counters=counters,
         )
 
@@ -108,6 +112,7 @@ class ApproximateAlgorithm:
     # ------------------------------------------------------------------
     def _evaluate_kcr(
         self,
+        algorithm: KcRAlgorithm,
         context: QuestionContext,
         sample: Sequence[Candidate],
         best: RefinedQuery,
@@ -119,7 +124,6 @@ class ApproximateAlgorithm:
         the keyword penalty of the next group reaches the incumbent, no
         remaining sample can win.
         """
-        algorithm = KcRAlgorithm(self.tree, self.model)
         by_distance: dict = {}
         for candidate in sample:
             by_distance.setdefault(candidate.delta_doc, []).append(candidate)

@@ -49,6 +49,7 @@ sharded answer is bit-identical to the unsharded one:
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
@@ -77,6 +78,9 @@ Contribution = Dict[int, Tuple[List[int], List[int]]]
 #: One round of a traversal (or of every shard's): the contribution
 #: deltas to apply and the number of nodes expanded to produce them.
 Round = Tuple[List[Contribution], int]
+
+#: Question and batch tokens: the keys of a shard's KcR worker state.
+_TOKENS = itertools.count()
 
 
 class _CandidateState:
@@ -142,10 +146,12 @@ class KcRAlgorithm:
         self.model = model
         self.vectorize = vectorize_enabled(vectorize)
         # NodeTextStats is O(|kcm| log |kcm|) to build; cache per aux
-        # record for the lifetime of the algorithm instance.  Purely an
-        # in-memory artefact: the underlying kcm fetch that feeds it is
-        # still I/O-accounted on every traversal.
+        # record for the lifetime of the algorithm instance (shards keep
+        # theirs under this instance's token).  Purely an in-memory
+        # artefact: the underlying kcm fetch that feeds it is still
+        # I/O-accounted on every traversal.
         self._stats_cache: Dict[int, NodeTextStats] = {}
+        self.token = next(_TOKENS)
 
     # ------------------------------------------------------------------
     # Algorithm 4: the strategic driver
@@ -202,30 +208,31 @@ class KcRAlgorithm:
                 vectorize=self.vectorize,
             )
         else:
-            rounds = _ShardRounds(
-                self.index, self.model, self.vectorize, context, batch
-            )
+            rounds = _ShardRounds(self, context, batch)
 
         # Root bounds (lines 2-6), then one node per traversal per
         # round (lines 14-30), each round ending in one sweep.
-        contributions, _ = rounds.start()
-        for deltas in contributions:
-            _apply(states, deltas)
-        best, best_owner = sweep_candidates(
-            states, penalty_model, best, None, counters
-        )
-        while rounds.has_more() and any(state.alive for state in states):
-            contributions, expanded = rounds.step(
-                tuple(state.alive for state in states)
-            )
-            counters.nodes_expanded += expanded
-            if not contributions:
-                continue  # no traversal had a node left to expand
+        try:
+            contributions, _ = rounds.start()
             for deltas in contributions:
                 _apply(states, deltas)
             best, best_owner = sweep_candidates(
-                states, penalty_model, best, best_owner, counters
+                states, penalty_model, best, None, counters
             )
+            while rounds.has_more() and any(state.alive for state in states):
+                contributions, expanded = rounds.step(
+                    tuple(state.alive for state in states)
+                )
+                counters.nodes_expanded += expanded
+                if not contributions:
+                    continue  # no traversal had a node left to expand
+                for deltas in contributions:
+                    _apply(states, deltas)
+                best, best_owner = sweep_candidates(
+                    states, penalty_model, best, best_owner, counters
+                )
+        finally:
+            rounds.close()
         return best
 
 
@@ -299,6 +306,9 @@ class KcRTraversal:
 
     def has_more(self) -> bool:
         return bool(self.queue or self._children)
+
+    def close(self) -> None:
+        """Nothing to release: the traversal lives with its caller."""
 
     def step(self, alive: Sequence[bool]) -> Round:
         """Expand one node; return the contribution deltas it caused.
@@ -528,25 +538,28 @@ class _ShardRounds:
     one :meth:`~repro.index.sharded.ShardedIndex.request_many` per
     round.
 
-    A shard that is down, or fails mid-batch, is quarantined and its
+    The shards key this batch's traversals by a fresh batch token and
+    its NodeTextStats memos by the algorithm's question token, so
+    concurrent questions over one index never share worker state.  A
+    shard that is down, or fails mid-batch, is quarantined and its
     traversal replaced by its exact index-free counts.
     """
 
     def __init__(
         self,
-        index: ShardedIndex,
-        model: SimilarityModel,
-        vectorize: bool,
+        algorithm: "KcRAlgorithm",
         context: QuestionContext,
         batch: Sequence[Candidate],
     ) -> None:
-        self.index = index
-        self.model = model
-        self.vectorize = vectorize
+        self.index = ensure_not_none(algorithm.index, "no sharded index")
+        self.model = algorithm.model
+        self.vectorize = algorithm.vectorize
+        self.question = algorithm.token
+        self.token = next(_TOKENS)
         self.query = context.query
         self.missing = context.missing
         self.batch = tuple(batch)
-        self.shards = [shard for shard in index.shards if not shard.is_empty]
+        self.shards = [shard for shard in self.index.shards if not shard.is_empty]
         self.cumulative: Dict[int, Contribution] = {}
         self.pending: Dict[int, bool] = {}
 
@@ -560,6 +573,8 @@ class _ShardRounds:
                 live.append(shard)
         init = (
             "kcr_init",
+            self.token,
+            self.question,
             self.query,
             self.missing,
             self.batch,
@@ -574,7 +589,16 @@ class _ShardRounds:
 
     def step(self, alive: Sequence[bool]) -> Round:
         stepping = [shard for shard in self.shards if self.pending[shard.tid]]
-        return self._round(stepping, ("kcr_step", alive))
+        return self._round(stepping, ("kcr_step", self.token, alive))
+
+    def close(self) -> None:
+        """Drop the traversals still held by shards (the batch ended
+        with every candidate decided)."""
+        stopped = [shard for shard in self.shards if self.pending.get(shard.tid)]
+        self.index.request_many(
+            [(shard, ("kcr_end", self.token)) for shard in stopped]
+        )
+        self.pending.clear()
 
     def _round(self, shards: Sequence[Shard], message: Tuple) -> Round:
         """One broadcast: every shard's round, summed."""

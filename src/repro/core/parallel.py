@@ -24,11 +24,11 @@ import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..errors import InvalidParameterError
 from ..index.kcr_tree import KcRTree
-from ..index.setr_tree import SetRTree
+from ..index.sharded import ShardedIndex
 from ..model.query import WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
 from .candidates import Candidate
@@ -65,7 +65,7 @@ class ParallelAdvanced:
 
     def __init__(
         self,
-        tree: SetRTree,
+        tree: Any,
         n_threads: int,
         mode: str = "simulate",
         model: SimilarityModel = JACCARD,
@@ -243,7 +243,10 @@ class ParallelKcR:
     """
 
     def __init__(
-        self, tree: KcRTree, n_threads: int, model: SimilarityModel = JACCARD
+        self,
+        tree: Union[KcRTree, ShardedIndex],
+        n_threads: int,
+        model: SimilarityModel = JACCARD,
     ) -> None:
         if n_threads <= 0:
             raise InvalidParameterError(f"n_threads must be positive, got {n_threads}")
@@ -258,10 +261,11 @@ class ParallelKcR:
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
         """Best refined query; per-batch makespan over the sub-batches."""
         started = time.perf_counter()
-        io_before = self.tree.stats.snapshot()
-        context = QuestionContext.prepare(question, self.tree, self.model)
-        counters = SearchCounters()
         algorithm = KcRAlgorithm(self.tree, self.model)
+        tree = algorithm.tree  # a shard set answers through its KcR view
+        io_before = tree.stats.snapshot()
+        context = QuestionContext.prepare(question, tree, self.model)
+        counters = SearchCounters()
         elapsed = time.perf_counter() - started
 
         best = context.basic_refined()
@@ -293,6 +297,6 @@ class ParallelKcR:
             initial_rank=context.initial_rank,
             algorithm=self.name,
             elapsed_seconds=elapsed,
-            io=self.tree.stats.snapshot() - io_before,
+            io=tree.stats.snapshot() - io_before,
             counters=counters,
         )

@@ -24,18 +24,23 @@ contractual:
   summed ledger is mode-invariant.
 
 * **Failure containment.**  An unrecoverable storage fault inside one
-  shard marks only that shard down; its partition is served by an
+  shard marks only that shard tree down; its partition is served by an
   index-free scan with the same score arithmetic (exact answers,
   ``degraded``-flagged) while every other shard keeps its tree and its
-  buffer state.
+  buffer state.  With one tile the scan covers the whole dataset.
+
+Inserts and removes go to the shard owning the object's tile
+(:meth:`ShardedIndex.insert` / :meth:`ShardedIndex.remove`), which
+updates its dataset and its built trees.
 
 Parallelism follows :mod:`repro.core.parallel`'s two-mode convention:
 the default ``simulate`` mode measures per-shard busy time and reports
 the fan-out's makespan by accumulating ``Σ busy − max busy`` into a
 discount the engine subtracts from the answer's elapsed time; the
-``process`` mode runs real forked workers (shards are read-only after
-load, so workers share no mutable state — the flow checker's
-worker-read-only contract covers :func:`_worker_execute`).
+``process`` mode runs real forked workers.  Queries never write shard
+data (the flow checker's worker-read-only contract covers
+:func:`_worker_execute`); a KcR traversal's worker state is keyed by
+its batch token, so concurrent fan-outs over one index stay apart.
 """
 
 from __future__ import annotations
@@ -439,14 +444,30 @@ def load_tile_datasets(
 # ----------------------------------------------------------------------
 # one shard
 # ----------------------------------------------------------------------
+def _shard_faults(
+    faults: Optional[FaultInjector],
+    fault_shards: Optional[Sequence[int]],
+    tid: int,
+    n_tiles: int,
+) -> Optional[FaultInjector]:
+    """The injector driving one shard's trees, if it is targeted.
+
+    A lone tile is the whole index, so it draws the injector itself:
+    its trees' forks are labelled exactly as a single index's would be.
+    """
+    if faults is None or (fault_shards is not None and tid not in fault_shards):
+        return None
+    return faults if n_tiles == 1 else faults.fork(f"shard-{tid}")
+
+
 class Shard:
     """One tile's datasets, trees, fault fork, and I/O ledger.
 
     The shard's two trees write into ``stats["setr"]`` /
-    ``stats["kcr"]`` — the per-shard ledgers whose sum is the sharded
-    engine's deterministic I/O total.  ``faults`` (when present) is the
-    shard-level injector fork; each tree gets a per-kind sub-fork with
-    a fresh label per rebuild, mirroring the unsharded engine.
+    ``stats["kcr"]`` — the per-shard ledgers whose sum is the engine's
+    deterministic I/O total.  ``faults`` (when present) is the
+    shard-level injector; each tree gets a per-kind fork with a fresh
+    label per rebuild.
     """
 
     def __init__(
@@ -533,6 +554,11 @@ class Shard:
             del self._trees[kind]
         self._rebuilds[kind] += 1
 
+    def forget_trees(self) -> None:
+        """Discard stale tree copies (a process worker holds the live
+        ones); unlike :meth:`drop_tree`, no rebuild generation is spent."""
+        self._trees.clear()
+
     def reset_buffer(self) -> None:
         for tree in self._trees.values():
             tree.reset_buffer()
@@ -544,6 +570,39 @@ class Shard:
 # ----------------------------------------------------------------------
 # execution backends (simulate in-process / forked worker)
 # ----------------------------------------------------------------------
+def _mutate_shard(
+    shard: Shard, op: str, obj: SpatialObject, kinds: Sequence[str]
+) -> List[Tuple[str, Tuple]]:
+    """Apply one insert or remove to the shard's dataset and to its
+    built trees of ``kinds``.
+
+    A tree that fails mid-mutation is left half-updated and reported
+    as ``(kind, marshalled error)`` for the caller to quarantine; the
+    dataset, which recovery rebuilds from, is always updated.
+    """
+    if op == "insert":
+        shard.dataset.add(obj)
+    elif len(shard.dataset) == 1:
+        # Trees never drop their last object: an emptied shard has no
+        # trees, and an insert into it builds fresh ones on next use.
+        shard.forget_trees()
+    failures: List[Tuple[str, Tuple]] = []
+    for kind in kinds:
+        if not shard.has_tree(kind):
+            continue  # an unbuilt tree picks the change up when built
+        tree = shard.built_tree(kind)
+        try:
+            if op == "insert":
+                tree.insert(obj)
+            else:
+                tree.delete(obj)
+        except StorageError as exc:
+            failures.append((kind, _marshal(exc)))
+    if op == "remove":
+        shard.dataset.remove(obj.oid)
+    return failures
+
+
 def _worker_admin(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
     """Build/maintenance operations (not part of the read-only chain)."""
     op = message[0]
@@ -553,18 +612,18 @@ def _worker_admin(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
             tree = shard.ensure_tree(kind)
             state[("searcher", kind)] = TopKSearcher(tree, model)
         return True
-    if op == "rebuild":
-        _, kind, model = message
-        state.pop("kcr_traversal", None)
-        state.pop(("searcher", kind), None)
-        shard.drop_tree(kind)
-        tree = shard.ensure_tree(kind)
-        state[("searcher", kind)] = TopKSearcher(tree, model)
-        return True
+    if op == "mutate":
+        _, change, obj, kinds = message
+        return _mutate_shard(shard, change, obj, kinds)
     if op == "reset":
         shard.reset_buffer()
         return True
     raise InvalidParameterError(f"unknown shard admin op {op!r}")
+
+
+#: How many questions' NodeTextStats memos a shard keeps; older ones
+#: are evicted (a live traversal keeps its own reference).
+_MEMO_SLOTS = 4
 
 
 def _worker_execute(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
@@ -575,6 +634,10 @@ def _worker_execute(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
     sequence (and therefore the ledger) is mode-invariant.  Everything
     reachable from here must treat the shard as read-only apart from
     I/O accounting; the flow checker enforces this.
+
+    KcR traversals live in ``state["kcr"]`` under their batch token
+    until the batch ends, and their NodeTextStats memos under the
+    question token, so concurrent questions never share either.
     """
     op = message[0]
     if op == "bound":
@@ -596,35 +659,48 @@ def _worker_execute(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
         return searcher.rank_of_missing(
             query, missing, keywords=keywords, stop_limit=stop_limit
         )
+    traversals = state.setdefault("kcr", {})
     if op == "kcr_init":
         from ..core.kcr_algorithm import KcRTraversal  # lazy: import cycle
 
-        _, query, missing, batch, model, vectorize = message
+        _, token, question, query, missing, batch, model, vectorize = message
+        # One memo per question (and tree), kept across its batches as
+        # in the unsharded run; the oldest questions' memos are evicted.
         tree = shard.built_tree("kcr")
-        # One NodeTextStats memo per question (and tree), kept across
-        # the question's batches as in the unsharded run.
-        memo = state.get("kcr_stats")
-        if memo is None or memo[0] is not tree or memo[1] != (query, missing):
-            memo = state["kcr_stats"] = (tree, (query, missing), {})
+        memos = state.setdefault("kcr_stats", {})
+        memo = memos.pop(question, None)
+        if memo is None or memo[0] is not tree:
+            memo = (tree, {})
+        memos[question] = memo
+        while len(memos) > _MEMO_SLOTS:
+            del memos[next(iter(memos))]
         traversal = KcRTraversal(
             tree,
             model,
             query,
             missing,
             batch,
-            stats_cache=memo[2],
+            stats_cache=memo[1],
             vectorize=vectorize,
         )
-        state["kcr_traversal"] = traversal
-        return traversal.start(), traversal.has_more()
-    if op == "kcr_step":
-        _, alive = message
-        traversal = state["kcr_traversal"]
-        return traversal.step(alive), traversal.has_more()
-    raise InvalidParameterError(f"unknown shard op {op!r}")
+        reply = traversal.start()
+    elif op == "kcr_step":
+        _, token, alive = message
+        traversal = traversals[token]
+        reply = traversal.step(alive)
+    elif op == "kcr_end":
+        traversals.pop(message[1], None)
+        return True
+    else:
+        raise InvalidParameterError(f"unknown shard op {op!r}")
+    if traversal.has_more():
+        traversals[token] = traversal
+    else:
+        traversals.pop(token, None)
+    return reply, traversal.has_more()
 
 
-_ADMIN_OPS = ("warm", "rebuild", "reset")
+_ADMIN_OPS = ("warm", "mutate", "reset")
 
 
 def _dispatch_op(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
@@ -675,11 +751,7 @@ def _shard_worker_main(conn: Any, shard: Shard) -> None:
             status = "ok"
         except StorageError as exc:
             status = "storage-error"
-            payload = (
-                type(exc).__name__,
-                str(exc),
-                getattr(exc, "record_id", None),
-            )
+            payload = _marshal(exc)
         except Exception as exc:  # pragma: no cover - defensive marshalling
             status = "fatal"
             payload = repr(exc)
@@ -689,6 +761,11 @@ def _shard_worker_main(conn: Any, shard: Shard) -> None:
         }
         conn.send((status, payload, deltas, busy))
     conn.close()
+
+
+def _marshal(exc: StorageError) -> Tuple[str, str, Optional[int]]:
+    """A StorageError as plain data (it crosses the worker pipe)."""
+    return type(exc).__name__, str(exc), getattr(exc, "record_id", None)
 
 
 def _rebuild_storage_error(payload: Tuple) -> StorageError:
@@ -972,6 +1049,10 @@ class ShardedSearcher:
             if self._is_down(shard):
                 # A down shard has no root bound; it is always scanned.
                 ordered.append((math.inf, shard.tid, shard))
+        if len(live) == 1:
+            # A lone live shard has nothing to be ordered against.
+            ordered.append((math.inf, live[0].tid, live[0]))
+            live = []
         replies = self.index.request_many(
             [(shard, ("bound", self.kind, query, doc)) for shard in live]
         )
@@ -1022,8 +1103,6 @@ class ShardedSearcher:
         stop_limit: Optional[int] = None,
     ) -> RankResult:
         self.index.ensure_built(self.kind, self.model)
-        total = 0
-        dominator_ids: List[int] = []
         missing_tuple = tuple(missing)
         # Every shard runs the same capped dominator search with no
         # inter-shard dependency, so the fan-out broadcasts: in process
@@ -1040,19 +1119,17 @@ class ShardedSearcher:
                 self._mark_down(shard, "rank_of_missing", reply)
                 continue
             by_tid[shard.tid] = reply[0]
-        for shard in self._shards():
-            result = by_tid.get(shard.tid)
-            if result is None:
-                result = _scan_rank(
-                    shard.dataset,
-                    query,
-                    missing_tuple,
-                    keywords,
-                    stop_limit,
-                    self.model,
-                )
-            total += len(result.dominators)
-            dominator_ids.extend(result.dominators)
+        results = [
+            by_tid.get(shard.tid)
+            or _scan_rank(
+                shard.dataset, query, missing_tuple, keywords, stop_limit, self.model
+            )
+            for shard in self._shards()
+        ]
+        if len(results) == 1:
+            return results[0]  # one shard's reply is already in pop order
+        dominator_ids = [oid for result in results for oid in result.dominators]
+        total = len(dominator_ids)
 
         # Re-emit the merged dominators in the single tree's pop order
         # (score descending, then oid) — pure arithmetic, no index I/O.
@@ -1128,8 +1205,11 @@ class ShardedIndex:
         # the lazily created backends, the makespan discount every
         # round accrues and the quarantine set.
         self._runtime_lock = threading.Lock()
+        # Process mode: one fan-out at a time owns the worker pipes,
+        # from its first submit to its last collect, so concurrent
+        # queries never read each other's replies.
+        self._pipe_lock = threading.Lock()
         self._warmed: set = set()
-        self._model: SimilarityModel = JACCARD
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -1236,12 +1316,11 @@ class ShardedIndex:
         faults: Optional[FaultInjector],
         fault_shards: Optional[Sequence[int]],
     ) -> "ShardedIndex":
-        targeted = None if fault_shards is None else set(fault_shards)
         shards: List[Shard] = []
         for tid, tile_ds in enumerate(tile_datasets):
-            shard_faults = None
-            if faults is not None and (targeted is None or tid in targeted):
-                shard_faults = faults.fork(f"shard-{tid}")
+            shard_faults = _shard_faults(
+                faults, fault_shards, tid, len(tile_datasets)
+            )
             shards.append(
                 Shard(
                     tid,
@@ -1292,7 +1371,11 @@ class ShardedIndex:
 
     def request(self, shard: Shard, message: Tuple) -> Tuple[Any, float]:
         """One operation on one shard via its mode's backend."""
-        return self._backend(shard).request(message)
+        backend = self._backend(shard)
+        if self.mode == "process":
+            with self._pipe_lock:
+                return backend.request(message)
+        return backend.request(message)
 
     def request_many(
         self, batch: Sequence[Tuple[Shard, Tuple]]
@@ -1315,13 +1398,14 @@ class ShardedIndex:
         results: List[Union[Tuple[Any, float], StorageError]] = []
         if self.mode == "process":
             backends = [self._backend(shard) for shard, _ in batch]
-            for backend, (_, message) in zip(backends, batch):
-                backend.submit(message)
-            for backend in backends:
-                try:
-                    results.append(backend.collect())
-                except StorageError as exc:
-                    results.append(exc)
+            with self._pipe_lock:
+                for backend, (_, message) in zip(backends, batch):
+                    backend.submit(message)
+                for backend in backends:
+                    try:
+                        results.append(backend.collect())
+                    except StorageError as exc:
+                        results.append(exc)
         else:
             for shard, message in batch:
                 try:
@@ -1370,7 +1454,6 @@ class ShardedIndex:
         then serve its partition from the exact index-free scan.
         """
         with self._build_lock:
-            self._model = model
             for shard in self.shards:
                 key = (shard.tid, kind)
                 if (
@@ -1385,6 +1468,42 @@ class ShardedIndex:
                     self.mark_down(shard, kind, f"build:{kind}", exc)
                     continue
                 self._warmed.add(key)
+
+    # -- mutations -----------------------------------------------------
+    def insert(self, obj: SpatialObject) -> None:
+        """Add an object to the dataset and to its tile's shard."""
+        self.dataset.add(obj)
+        self._mutate("insert", obj)
+
+    def remove(self, oid: int) -> None:
+        """Remove an object from its tile's shard and the dataset."""
+        self._mutate("remove", self.dataset.get(oid))
+        self.dataset.remove(oid)
+
+    def _mutate(self, op: str, obj: SpatialObject) -> None:
+        """Route one mutation to the shard owning the object's tile.
+
+        A storage fault mid-mutation quarantines that shard tree
+        (:meth:`recover` rebuilds it from the shard's dataset).  In
+        process mode a live worker applies the change to its own copy
+        and trees; the parent keeps its dataset copy current, since a
+        recovered worker is forked from it.
+        """
+        shard = self.shards[self.plan.tile_of(obj.loc)]
+        kinds = [k for k in KINDS if (shard.tid, k) not in self.runtime.down]
+        if self.mode == "process" and shard.tid in self._backends:
+            failures, _ = self.request(shard, ("mutate", op, obj, kinds))
+            _mutate_shard(shard, op, obj, ())
+            shard.forget_trees()
+        else:
+            failures = _mutate_shard(shard, op, obj, kinds)
+        for kind, payload in failures:
+            self.mark_down(
+                shard, kind, f"{op}:{obj.oid}", _rebuild_storage_error(payload)
+            )
+        if shard.is_empty:
+            for kind in KINDS:
+                self._warmed.discard((shard.tid, kind))
 
     # -- accounting ----------------------------------------------------
     def ledgers(self, kind: str) -> Dict[int, IOSnapshot]:
@@ -1402,8 +1521,9 @@ class ShardedIndex:
 
     def reset_buffers(self) -> None:
         if self.mode == "process":
-            for backend in self._backends.values():
-                backend.request(("reset",))
+            with self._pipe_lock:
+                for backend in self._backends.values():
+                    backend.request(("reset",))
         else:
             for shard in self.shards:
                 shard.reset_buffer()
@@ -1435,7 +1555,8 @@ class ShardedIndex:
             if self.mode == "process":
                 backend = self._backends.pop(tid, None)
                 if backend is not None:
-                    backend.close()
+                    with self._pipe_lock:
+                        backend.close()
                 # The retired worker held every warm tree for this
                 # shard, not just the broken one.
                 for other in KINDS:
@@ -1462,9 +1583,11 @@ class ShardedIndex:
         return cleared
 
     def close(self) -> None:
-        for backend in self._backends.values():
-            backend.close()
+        with self._pipe_lock:
+            for backend in self._backends.values():
+                backend.close()
         self._backends.clear()
+        self._warmed.clear()  # fresh backends hold no warm state
 
     # -- persistence ---------------------------------------------------
     def save(self, directory: Union[str, Path]) -> None:
@@ -1577,7 +1700,6 @@ def load_sharded(
     for obj in dataset.objects:
         buckets[plan.tile_of(obj.loc)].append(obj)
 
-    targeted = None if fault_shards is None else set(fault_shards)
     shards: List[Shard] = []
     entries = sorted(body["shards"], key=lambda entry: entry["tid"])
     if len(entries) != plan.n_tiles:
@@ -1598,9 +1720,7 @@ def load_sharded(
             diagonal=dataset.diagonal,
             name=f"{dataset.name}/shard-{tid}",
         )
-        shard_faults = None
-        if faults is not None and (targeted is None or tid in targeted):
-            shard_faults = faults.fork(f"shard-{tid}")
+        shard_faults = _shard_faults(faults, fault_shards, tid, plan.n_tiles)
         shard = Shard(
             tid,
             Rect(*entry["rect"]),

@@ -4,8 +4,8 @@ The sharding contract (DESIGN.md §4e) is that partitioning is an
 execution detail: every answer — top-k results, why-not refinements,
 ranks, tie-breaks — must equal the unsharded engine's exactly, and the
 per-shard I/O ledger must be identical between simulate and process
-modes.  These tests pin all of that, plus the read-only mutation
-guards, persistence round-trip, and the manifest sanitizer kinds.
+modes.  These tests pin all of that, plus the shard-count guard,
+persistence round-trip, and the manifest sanitizer kinds.
 """
 
 from __future__ import annotations
@@ -131,20 +131,11 @@ class TestShardedParity:
 
 
 class TestShardedGuards:
-    def test_mutations_rejected(self, sharded_engines, euro_small):
-        dataset, _ = euro_small
-        engine = sharded_engines[2]
-        obj = dataset.objects[0]
+    def test_lone_tree_accessors_need_one_shard(self, sharded_engines):
         with pytest.raises(InvalidParameterError):
-            engine.insert(obj)
+            sharded_engines[2].setr_tree
         with pytest.raises(InvalidParameterError):
-            engine.remove(obj.oid)
-        with pytest.raises(InvalidParameterError):
-            engine.update_keywords(obj.oid, obj.doc)
-
-    def test_unsupported_method_rejected(self, sharded_engines, euro_cases):
-        with pytest.raises(InvalidParameterError):
-            sharded_engines[2].answer(euro_cases[0], method="parallel-advanced")
+            sharded_engines[2].kcr_tree
 
     def test_zero_shards_rejected(self, euro_small):
         dataset, _ = euro_small

@@ -316,7 +316,9 @@ def test_degraded_answers_match_baseline(fault_world):
         )
         if actual.degraded:
             assert actual.fault_events
-            assert actual.algorithm.endswith("/degraded-scan")
+            assert all(
+                event.tree.startswith("shard-0:") for event in actual.fault_events
+            )
         checked += 1
     assert checked == len(queries)
 

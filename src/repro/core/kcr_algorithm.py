@@ -466,20 +466,28 @@ class KcRTraversal:
         packed columnar block (:mod:`repro.core.vectorized`) and
         vectorization is on, the intersections come from bitmask
         popcounts instead — exact small integers in float64 either way,
-        so the resulting scores are bit-identical.  Doc fetches stay
-        per-object (I/O-accounted); only the arithmetic is batched.
+        so the resulting scores are bit-identical — and the spatial
+        scores and document lengths come from the block's columns too.
+        The leaf's doc pages are read once per run of slots
+        (:meth:`~repro.index.rtree.RTreeBase.fetch_docs`) on both paths,
+        so the accounted I/O is the same.
         """
         tree = self.tree
         query, alpha, beta = self.query, self.alpha, self.beta
         states = self.states
         n_missing = len(self.m_sdist)
         entries = node.object_entries
-        docs = [tree.fetch_doc(entry.doc_record) for entry in entries]
+        docs = tree.fetch_docs(entries)  # read on both paths: same I/O
         packed = tree.packed_leaf(node) if self.vectorize else None
         if packed is not None and len(packed) != len(entries):
             packed = None
         if packed is not None:
-            from .vectorized import batch_intersections
+            from .vectorized import batch_distances, batch_intersections
+
+            doc_lengths = packed.doc_lens
+            spatial = alpha * (
+                1.0 - batch_distances(packed.xs, packed.ys, query.loc, tree.dataset)
+            )
         else:
             term_index: Dict[int, int] = {}
             for doc in docs:
@@ -492,14 +500,12 @@ class KcRTraversal:
             for row, doc in enumerate(docs):
                 for term in doc:
                     incidence[row, term_index[term]] = 1.0
-        doc_lengths = np.array([len(doc) for doc in docs], dtype=np.float64)
-        spatial = np.array(
-            [
-                alpha * (1.0 - tree.dataset.normalized_distance(e.loc, query.loc))
-                for e in entries
-            ],
-            dtype=np.float64,
-        )
+            doc_lengths = np.array([len(doc) for doc in docs], dtype=np.float64)
+            distance = tree.dataset.normalized_distance
+            spatial = np.array(
+                [alpha * (1.0 - distance(e.loc, query.loc)) for e in entries],
+                dtype=np.float64,
+            )
 
         sums: Contribution = {
             s_index: ([0] * n_missing, [0] * n_missing)

@@ -252,7 +252,7 @@ def leaf_scoring_unit(
 
     Measures the scoring *computation* in isolation — documents fetched
     and the packed block in hand — because both paths share the same
-    per-entry accounted I/O by design; the kernel speedup shows up here,
+    accounted doc-page I/O by design; the kernel speedup shows up here,
     not in page-read counters.  Asserts bit-identical scores before
     timing (the parity contract of :mod:`repro.core.vectorized`).
     """
@@ -271,7 +271,7 @@ def leaf_scoring_unit(
         node = tree.fetch_node(stack.pop())
         if node.is_leaf:
             entries = list(node.object_entries)
-            docs = [tree.fetch_doc(entry.doc_record) for entry in entries]
+            docs = tree.fetch_docs(entries)
             leaves.append((entries, docs, tree.packed_leaf(node)))
         else:
             stack.extend(entry.child_id for entry in node.child_entries)

@@ -39,7 +39,7 @@ from ..model.objects import Dataset, SpatialObject
 from ..storage.buffer_pool import DEFAULT_BUFFER_BYTES, BufferPool
 from ..storage.faults import FaultInjector
 from ..storage.layout import keyword_set_bytes, node_bytes, packed_leaf_bytes
-from ..storage.packing import PackedWriter, SlotRef, fetch_slot
+from ..storage.packing import PackedWriter, fetch_slots
 from ..storage.pager import PAGE_SIZE
 from ..storage.stats import IOStatistics
 from .entries import ChildEntry, Node, ObjectEntry
@@ -341,16 +341,21 @@ class RTreeBase:
             raise IndexStructureError(f"record {node_id} is not a tree node")
         return node
 
-    def fetch_doc(self, doc_record: SlotRef) -> FrozenSet[int]:
-        """Load an object's keyword set through the buffer pool.
+    def fetch_docs(self, entries: Sequence[ObjectEntry]) -> List[FrozenSet[int]]:
+        """Load the keyword sets of leaf entries through the buffer pool.
 
-        Keyword sets are packed several-per-page, so the first fetch of
-        a leaf's doc page is one I/O and its siblings are buffer hits.
+        Keyword sets are packed several-per-page, so a leaf's entries
+        share one or two doc pages: each run of entries on one page is
+        one pool fetch, booked as the per-entry fetches would be (the
+        first is a page read or a hit, the rest are hits).
         """
-        doc = fetch_slot(self.buffer, doc_record)
-        if not isinstance(doc, frozenset):
-            raise IndexStructureError(f"record {doc_record} is not a keyword set")
-        return doc
+        docs = fetch_slots(self.buffer, [entry.doc_record for entry in entries])
+        for entry, doc in zip(entries, docs):
+            if not isinstance(doc, frozenset):
+                raise IndexStructureError(
+                    f"record {entry.doc_record} is not a keyword set"
+                )
+        return docs
 
     # ------------------------------------------------------------------
     # packed columnar leaf blocks (vectorized scoring substrate)
@@ -378,9 +383,10 @@ class RTreeBase:
 
         if not node.entries:
             return
+        entries = node.object_entries
         items = [
-            (entry.oid, entry.loc, self.fetch_doc(entry.doc_record))
-            for entry in node.object_entries
+            (entry.oid, entry.loc, doc)
+            for entry, doc in zip(entries, self.fetch_docs(entries))
         ]
         packed = PackedLeaf.build(items, self.vocab)
         nbytes = packed_leaf_bytes(len(items), self.vocab.n_blocks)
@@ -393,12 +399,13 @@ class RTreeBase:
         """The leaf's packed block, or ``None`` when unavailable.
 
         Read with :meth:`BufferPool.peek` — the block mirrors data whose
-        I/O the scalar path already charges per entry (locations live in
-        the node record, keyword sets in the packed doc pages), so
-        charging it again would double-count; the caller issues the
-        per-entry doc fetches itself.  A missing or corrupt block (e.g.
-        rotted by an injected fault) degrades to ``None`` and the caller
-        falls back to the bit-identical scalar loop for this leaf.
+        I/O is already charged (locations live in the node record,
+        keyword sets in the packed doc pages), so charging it again
+        would double-count; the caller reads the leaf's doc pages itself
+        with :meth:`fetch_docs`, exactly as the scalar path does.  A
+        missing or corrupt block (e.g. rotted by an injected fault)
+        degrades to ``None`` and the caller falls back to the
+        bit-identical scalar loop for this leaf.
         """
         from ..core.vectorized import PackedLeaf  # lazy: import cycle
 
@@ -588,8 +595,8 @@ class RTreeBase:
         """Recompute a node's summary payload from its members."""
         if node.is_leaf:
             summary = TextSummary.merged(
-                TextSummary(Counter(self.fetch_doc(e.doc_record)), 1)
-                for e in node.entries
+                TextSummary(Counter(doc), 1)
+                for doc in self.fetch_docs(node.object_entries)
             )
             return self._summary_payload(summary)
         return self._merge_payloads(
@@ -679,8 +686,8 @@ class RTreeBase:
         """Collect a condensed-away subtree's objects for reinsertion
         and release its node/summary records."""
         if node.is_leaf:
-            for entry in node.entries:
-                orphans.append((entry, self.fetch_doc(entry.doc_record)))
+            entries = node.object_entries
+            orphans.extend(zip(entries, self.fetch_docs(entries)))
         else:
             for entry in node.entries:
                 child = self.buffer.fetch(entry.child_id)

@@ -17,7 +17,7 @@ Two operations drive every why-not algorithm:
   dominators have been seen — the Opt1 early stop of Section IV-C1.
 
 Both trees expose the same two methods the searcher needs
-(``entry_score_bound`` and ``fetch_doc``), so one searcher serves both.
+(``entry_score_bound`` and ``fetch_docs``), so one searcher serves both.
 
 **Heap ordering.**  Heap items are ``(-key, kind, tiebreak, seq, node)``
 with ``kind = 0`` for subtree entries and ``1`` for objects.  The
@@ -34,7 +34,7 @@ oracle's stable sort exactly.
 **Vectorized leaf expansion.**  When ``REPRO_VECTORIZE`` is on (the
 default) and a leaf carries a packed columnar block, the whole leaf is
 scored in one batched kernel call (:mod:`repro.core.vectorized`) —
-bit-identical to the scalar loop, with the same per-entry accounted doc
+bit-identical to the scalar loop, with the same accounted doc-page
 fetches so I/O counters and injected-fault schedules replay
 identically.  Any leaf without a healthy packed block silently falls
 back to the scalar loop.
@@ -220,8 +220,8 @@ class TopKSearcher:
             entries = node.object_entries
             scores = self._leaf_scores(node, entries, query, keywords)
             if scores is None:
-                for entry in entries:
-                    doc = self.tree.fetch_doc(entry.doc_record)
+                docs = self.tree.fetch_docs(entries)
+                for entry, doc in zip(entries, docs):
                     score = self._object_score(entry.loc, doc, query, keywords)
                     heapq.heappush(
                         heap,
@@ -249,10 +249,10 @@ class TopKSearcher:
     ) -> Optional[List[float]]:
         """Batched leaf scoring; ``None`` requests the scalar fallback.
 
-        The packed block mirrors data whose I/O the scalar loop charges
-        per entry, so this path issues the *identical* accounted
-        ``fetch_doc`` sequence (same counters, same injected-fault
-        replay) and reads the packed block for free via ``peek``.
+        The packed block mirrors data whose I/O the scalar loop charges,
+        so this path reads the leaf's doc pages with the same
+        ``fetch_docs`` call (same counters, same injected-fault replay)
+        and reads the packed block for free via ``peek``.
         """
         if not self.vectorize or not entries:
             return None
@@ -261,8 +261,7 @@ class TopKSearcher:
             return None
         from ..core.vectorized import leaf_scores  # lazy: import cycle
 
-        for entry in entries:
-            self.tree.fetch_doc(entry.doc_record)
+        self.tree.fetch_docs(entries)
         query_mask = self.tree.vocab.encode(keywords)
         return leaf_scores(
             packed,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import DatasetError
-from .geometry import Point, space_diagonal
+from .geometry import Point, euclidean, space_diagonal
 
 __all__ = ["SpatialObject", "Dataset"]
 
@@ -195,8 +195,6 @@ class Dataset:
         the data bounding box would otherwise push scores negative and
         break the bound arithmetic of Theorems 1 and 2.
         """
-        from .geometry import euclidean
-
         d = euclidean(a, b) / self.diagonal
         return d if d < 1.0 else 1.0
 

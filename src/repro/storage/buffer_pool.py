@@ -155,6 +155,32 @@ class BufferPool:
                 self._used_pages += span
             return payload
 
+    def fetch_run(self, record_id: int, count: int) -> Any:
+        """Return a record's payload as ``count`` consecutive fetches would.
+
+        One real :meth:`fetch` runs under the pool lock; if it leaves
+        the record cached, the other ``count - 1`` fetches would all be
+        hits on the most-recently-used record, so they are booked as
+        hits (``fetch_count``, ``hit_count``, ``stats.buffer_hits``)
+        without being replayed.  That is exact: a hit never consults
+        the fault injector, and nothing can change the record while the
+        lock is held.  A record too big to cache misses every time, so
+        its fetches are replayed one by one.
+        """
+        if count < 1:
+            raise StorageError(f"fetch run length must be positive, got {count}")
+        with self._lock:
+            payload = self.fetch(record_id)
+            repeats = count - 1
+            if record_id in self._frames:
+                self.fetch_count += repeats
+                self.hit_count += repeats
+                self.stats.buffer_hits += repeats
+            else:
+                for _ in range(repeats):
+                    payload = self.fetch(record_id)
+            return payload
+
     def peek(self, record_id: int) -> Any:
         """Return a record's payload without charging I/O or touching LRU.
 

@@ -13,18 +13,23 @@ scan costs one or two page reads instead of a hundred.
 A packed record is addressed by a :class:`SlotRef` = (page record id,
 slot); fetching any slot pulls the whole page through the buffer pool,
 which is precisely the locality a slotted page gives on real disks.
+Index code reads a leaf's slots with :func:`fetch_slots`, which takes
+each page once per run of consecutive slots on it and books the run's
+I/O exactly as one :func:`fetch_slot` call per slot would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, List, Optional, Sequence, Union
 
 from ..errors import StorageError
 from .buffer_pool import BufferPool
 from .pager import Pager
 
-__all__ = ["SlotRef", "PackedWriter", "fetch_slot"]
+__all__ = ["SlotRef", "PackedWriter", "fetch_slot", "fetch_slots"]
 
 #: What :class:`PackedWriter` writes through — only ``page_size`` and
 #: ``allocate`` are used, which both expose identically.  Index code
@@ -90,16 +95,38 @@ class PackedWriter:
         self._pending_bytes = 0
 
 
-def fetch_slot(buffer: BufferPool, ref: SlotRef) -> Any:
-    """Read one packed record through the buffer pool.
-
-    Charges the page on a miss; subsequent slots of the same page are
-    buffer hits — the locality benefit packing exists to model.
-    """
-    page = buffer.fetch(ref.record)
+def _slot(page: Any, ref: SlotRef) -> Any:
     try:
         return page[ref.slot]
     except (TypeError, IndexError):
         raise StorageError(
             f"record {ref.record} slot {ref.slot} is not a valid packed slot"
         ) from None
+
+
+def fetch_slot(buffer: BufferPool, ref: SlotRef) -> Any:
+    """Read one packed record through the buffer pool.
+
+    Charges the page on a miss; subsequent slots of the same page are
+    buffer hits — the locality benefit packing exists to model.
+    """
+    return _slot(buffer.fetch(ref.record), ref)
+
+
+def fetch_slots(buffer: BufferPool, refs: Sequence[SlotRef]) -> List[Any]:
+    """Read packed records in order, one page fetch per run of slots.
+
+    Consecutive refs that share a page form a run, and each run costs
+    one :meth:`BufferPool.fetch_run`.  The pool books the run exactly
+    as the per-slot :func:`fetch_slot` loop would (same counters, same
+    LRU order, same fault-injector stream), so the loop stays the
+    reference semantics.  A malformed slot is a structural defect (the
+    fault injector never produces one); it raises the same
+    :class:`StorageError` once its run has been fetched.
+    """
+    out: List[Any] = []
+    for record, run in groupby(refs, key=attrgetter("record")):
+        slots = list(run)
+        page = buffer.fetch_run(record, len(slots))
+        out.extend(_slot(page, ref) for ref in slots)
+    return out

@@ -108,7 +108,7 @@ class TestTreeInsertion:
             while inner:
                 node = tree.buffer.fetch(inner.pop())
                 if node.is_leaf:
-                    docs.extend(tree.fetch_doc(e.doc_record) for e in node.entries)
+                    docs.extend(tree.fetch_docs(node.object_entries))
                 else:
                     inner.extend(e.child_id for e in node.entries)
             assert union == frozenset().union(*docs)
@@ -132,7 +132,7 @@ class TestTreeInsertion:
             while inner:
                 node = tree.buffer.fetch(inner.pop())
                 if node.is_leaf:
-                    docs.extend(tree.fetch_doc(e.doc_record) for e in node.entries)
+                    docs.extend(tree.fetch_docs(node.object_entries))
                 else:
                     inner.extend(e.child_id for e in node.entries)
             assert cnt == len(docs)

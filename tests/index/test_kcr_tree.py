@@ -42,7 +42,7 @@ class TestCountMaps:
             while inner:
                 node = tree.buffer.fetch(inner.pop())
                 if node.is_leaf:
-                    docs.extend(tree.fetch_doc(e.doc_record) for e in node.entries)
+                    docs.extend(tree.fetch_docs(node.object_entries))
                 else:
                     inner.extend(e.child_id for e in node.entries)
             assert cnt == len(docs)
@@ -69,8 +69,8 @@ class TestScoreBound:
             while stack:
                 node = tree.fetch_node(stack.pop())
                 if node.is_leaf:
-                    for oe in node.entries:
-                        doc = tree.fetch_doc(oe.doc_record)
+                    entries = node.object_entries
+                    for oe, doc in zip(entries, tree.fetch_docs(entries)):
                         dist = dataset.normalized_distance(oe.loc, query.loc)
                         tsim = len(doc & query.doc) / len(doc | query.doc)
                         score = query.alpha * (1 - dist) + (1 - query.alpha) * tsim

@@ -259,11 +259,11 @@ class TestPackedLayout:
             assert packed is not None
             entries = node.object_entries
             assert len(packed) == len(entries)
-            for row, entry in enumerate(entries):
+            docs = tree.fetch_docs(entries)
+            for row, (entry, doc) in enumerate(zip(entries, docs)):
                 assert int(packed.oids[row]) == entry.oid
                 assert float(packed.xs[row]) == entry.loc[0]
                 assert float(packed.ys[row]) == entry.loc[1]
-                doc = tree.fetch_doc(entry.doc_record)
                 assert float(packed.doc_lens[row]) == float(len(doc))
                 assert np.array_equal(
                     packed.masks[row][: tree.vocab.n_blocks],

@@ -114,11 +114,12 @@ class FlowConfig:
     accounting_attrs: Tuple[str, ...] = ("stats",)
     sanctioned_writers: Tuple[str, ...] = (
         "repro.core.dominator_cache.DominatorCache.record_dominators",
-        "repro.core.dominator_cache.DominatorCache.add",
     )
     entry_patterns: Tuple[str, ...] = (
-        "repro.core.parallel.ParallelAdvanced._evaluate_candidate",
-        "repro.core.parallel.*.worker",
+        # Per-candidate evaluation: the unit Opt4 schedules on workers
+        # (ParallelAdvanced inherits it), so AdvancedBS is held to the
+        # same read-only contract.
+        "repro.core.advanced.AdvancedAlgorithm._evaluate_candidate",
         "repro.core.kcr_algorithm.KcRAlgorithm._bound_and_prune",
         "repro.index.search.TopKSearcher.top_k",
         "repro.index.search.TopKSearcher.rank_of_missing",

@@ -16,18 +16,20 @@ independently switchable so the Fig 11 ablation can isolate them:
   candidate, the candidate is pruned without any index access
   (Algorithm 1 lines 10–13).
 
-Opt4 (parallel processing) lives in :mod:`repro.core.parallel`.
+Opt4 (parallel processing) lives in :mod:`repro.core.parallel`, as a
+subclass that schedules this loop's candidate evaluations on threads.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from ..errors import ensure_not_none
 from ..index.setr_tree import SetRTree
 from ..model.query import WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import clock
+from .candidates import Candidate
 from .context import QuestionContext
 from .dominator_cache import DominatorCache
 from .result import RefinedQuery, SearchCounters, WhyNotAnswer
@@ -78,13 +80,10 @@ class AdvancedAlgorithm:
 
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
         """Return the best refined query for ``question``."""
-        started = time.perf_counter()
+        started = clock()
         io_before = self.tree.stats.snapshot()
         context = QuestionContext.prepare(question, self.tree, self.model)
         counters = SearchCounters()
-        penalty_model = context.penalty_model
-
-        best = context.basic_refined()
         cache: Optional[DominatorCache] = None
         if self.filtering:
             cache = self.cache
@@ -92,7 +91,27 @@ class AdvancedAlgorithm:
                 cache = DominatorCache(
                     context.dataset, context.query, context.missing, self.model
                 )
+        best, _ = self._search(context, counters, cache)
+        return WhyNotAnswer(
+            refined=best,
+            initial_rank=context.initial_rank,
+            algorithm=self.name,
+            elapsed_seconds=clock() - started,
+            io=self.tree.stats.snapshot() - io_before,
+            counters=counters,
+        )
 
+    def _search(
+        self,
+        context: QuestionContext,
+        counters: SearchCounters,
+        cache: Optional[DominatorCache],
+    ) -> Tuple[RefinedQuery, List[float]]:
+        """Algorithm 1's candidate loop: the best refined query, and the
+        :func:`clock` time of each candidate evaluation (Opt4's units)."""
+        penalty_model = context.penalty_model
+        best = context.basic_refined()
+        units: List[float] = []
         candidates = (
             context.enumerator.iter_paper_order()
             if self.ordering
@@ -111,53 +130,64 @@ class AdvancedAlgorithm:
                     break
                 continue
 
-            stop_limit = penalty_model.max_useful_rank(
-                best.penalty, candidate.delta_doc
+            started = clock()
+            improved = self._evaluate_candidate(
+                context, candidate, best.penalty, counters, cache
             )
-            # The keyword-penalty prune above guarantees a finite bound.
-            stop_limit = ensure_not_none(
-                stop_limit, "Eqn 6 bound missing after keyword-penalty prune"
-            )
+            units.append(clock() - started)
+            if improved is not None:
+                best = improved
+        return best, units
 
-            # Opt3: count cached dominators that survive the keyword
-            # change; if the rank bound is already unreachable, prune
-            # without touching the index (Algorithm 1 lines 10-13).
-            if cache is not None:
-                survivors = cache.count_dominating(candidate.keywords, stop_limit)
-                if survivors >= stop_limit:
-                    counters.pruned_by_cache += 1
-                    continue
+    def _evaluate_candidate(
+        self,
+        context: QuestionContext,
+        candidate: Candidate,
+        incumbent_penalty: float,
+        counters: SearchCounters,
+        cache: Optional[DominatorCache] = None,
+    ) -> Optional[RefinedQuery]:
+        """One candidate against the incumbent: the better refined
+        query, or None when the candidate cannot beat it.
 
-            counters.candidates_evaluated += 1
-            result = context.searcher.rank_of_missing(
-                context.query,
-                context.missing,
-                keywords=candidate.keywords,
-                stop_limit=stop_limit if self.early_stop else None,
-            )
-            if cache is not None:
-                cache.record_dominators(result.dominators)
-            if result.aborted:
-                counters.aborted_early += 1
-                continue
-            rank = ensure_not_none(
-                result.rank, "non-aborted rank search returned no rank"
-            )
-            penalty = penalty_model.penalty(candidate.delta_doc, rank)
-            if penalty < best.penalty:
-                best = RefinedQuery(
-                    keywords=candidate.keywords,
-                    k=penalty_model.refined_k(rank),
-                    delta_doc=candidate.delta_doc,
-                    rank=rank,
-                    penalty=penalty,
-                )
+        The caller has already pruned on the keyword penalty, so Eqn 6
+        gives a finite rank bound.
+        """
+        penalty_model = context.penalty_model
+        stop_limit = ensure_not_none(
+            penalty_model.max_useful_rank(incumbent_penalty, candidate.delta_doc),
+            "Eqn 6 bound missing after keyword-penalty prune",
+        )
 
-        return WhyNotAnswer(
-            refined=best,
-            initial_rank=context.initial_rank,
-            algorithm=self.name,
-            elapsed_seconds=time.perf_counter() - started,
-            io=self.tree.stats.snapshot() - io_before,
-            counters=counters,
+        # Opt3: count cached dominators that survive the keyword
+        # change; if the rank bound is already unreachable, prune
+        # without touching the index (Algorithm 1 lines 10-13).
+        if cache is not None:
+            survivors = cache.count_dominating(candidate.keywords, stop_limit)
+            if survivors >= stop_limit:
+                counters.pruned_by_cache += 1
+                return None
+
+        counters.candidates_evaluated += 1
+        result = context.searcher.rank_of_missing(
+            context.query,
+            context.missing,
+            keywords=candidate.keywords,
+            stop_limit=stop_limit if self.early_stop else None,
+        )
+        if cache is not None:
+            cache.record_dominators(result.dominators)
+        if result.aborted:
+            counters.aborted_early += 1
+            return None
+        rank = ensure_not_none(result.rank, "non-aborted rank search returned no rank")
+        penalty = penalty_model.penalty(candidate.delta_doc, rank)
+        if penalty >= incumbent_penalty:
+            return None
+        return RefinedQuery(
+            keywords=candidate.keywords,
+            k=penalty_model.refined_k(rank),
+            delta_doc=candidate.delta_doc,
+            rank=rank,
+            penalty=penalty,
         )

@@ -29,7 +29,6 @@ rank is determined by the index search with the early-stop limit.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Union
 
 from ..errors import InvalidParameterError, ensure_not_none
@@ -39,6 +38,7 @@ from ..index.rtree import RTreeBase
 from ..index.sharded import ShardedIndex
 from ..model.query import WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import clock
 from .context import QuestionContext
 from .kcr_algorithm import KcRAlgorithm
 from .result import RefinedQuery, SearchCounters, WhyNotAnswer
@@ -68,7 +68,7 @@ class AlphaRefinementAlgorithm:
 
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
         """Best (k', α') refinement over the sampled preference grid."""
-        started = time.perf_counter()
+        started = clock()
         io_before = self.tree.stats.snapshot()
         context = QuestionContext.prepare(question, self.tree, self.model)
         counters = SearchCounters()
@@ -118,7 +118,7 @@ class AlphaRefinementAlgorithm:
             refined=best,
             initial_rank=context.initial_rank,
             algorithm=self.name,
-            elapsed_seconds=time.perf_counter() - started,
+            elapsed_seconds=clock() - started,
             io=self.tree.stats.snapshot() - io_before,
             counters=counters,
         )
@@ -176,7 +176,7 @@ class IntegratedAlgorithm:
 
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
         """Answer via both refinement axes; return the cheaper one."""
-        started = time.perf_counter()
+        started = clock()
         keyword_answer = self.keyword_algorithm.answer(question)
         alpha_answer = self.alpha_algorithm.answer(question)
         winner = (
@@ -191,7 +191,7 @@ class IntegratedAlgorithm:
             refined=winner.refined,
             initial_rank=winner.initial_rank,
             algorithm=f"{self.name}({winner.algorithm})",
-            elapsed_seconds=time.perf_counter() - started,
+            elapsed_seconds=clock() - started,
             io=keyword_answer.io + alpha_answer.io,
             counters=counters,
         )

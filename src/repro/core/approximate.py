@@ -16,14 +16,15 @@ reproduces via the ``strategy`` knob.
 
 from __future__ import annotations
 
-import time
-from typing import Any, List, Optional, Sequence
+from typing import Any, Sequence
 
 from ..errors import InvalidParameterError, ensure_not_none
 from ..index.kcr_tree import KcRTree
 from ..index.sharded import ShardedIndex
 from ..model.query import WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import clock
+from .advanced import AdvancedAlgorithm
 from .candidates import Candidate
 from .context import QuestionContext
 from .dominator_cache import DominatorCache
@@ -79,7 +80,7 @@ class ApproximateAlgorithm:
 
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
         """Best refined query within the particularity-greedy sample."""
-        started = time.perf_counter()
+        started = clock()
         kcr = None
         tree = self.tree
         if self.strategy == "kcr":
@@ -102,7 +103,7 @@ class ApproximateAlgorithm:
             refined=best,
             initial_rank=context.initial_rank,
             algorithm=self.name,
-            elapsed_seconds=time.perf_counter() - started,
+            elapsed_seconds=clock() - started,
             io=tree.stats.snapshot() - io_before,
             counters=counters,
         )
@@ -142,50 +143,28 @@ class ApproximateAlgorithm:
         best: RefinedQuery,
         counters: SearchCounters,
     ) -> RefinedQuery:
-        """BS-style (or AdvancedBS-style) per-candidate evaluation."""
+        """BS-style evaluation of every sample, or AdvancedBS's
+        per-candidate step over the sample in paper order."""
         penalty_model = context.penalty_model
-        use_optimizations = self.strategy == "advanced"
-        cache: Optional[DominatorCache] = None
-        ordered: List[Candidate] = list(sample)
-        if use_optimizations:
+        if self.strategy == "advanced":
+            advanced = AdvancedAlgorithm(self.tree, self.model)
             cache = DominatorCache(
                 context.dataset, context.query, context.missing, self.model
             )
-            ordered.sort(key=lambda c: (c.delta_doc, -c.gain))
-        for candidate in ordered:
-            stop_limit = None
-            if use_optimizations:
-                if (
-                    penalty_model.keyword_penalty(candidate.delta_doc)
-                    >= best.penalty
-                ):
+            for candidate in sorted(sample, key=lambda c: (c.delta_doc, -c.gain)):
+                if penalty_model.keyword_penalty(candidate.delta_doc) >= best.penalty:
                     counters.pruned_by_keyword_penalty += 1
                     break
-                stop_limit = penalty_model.max_useful_rank(
-                    best.penalty, candidate.delta_doc
-                )
-                if cache is not None and stop_limit is not None:
-                    survivors = cache.count_dominating(
-                        candidate.keywords, stop_limit
-                    )
-                    if survivors >= stop_limit:
-                        counters.pruned_by_cache += 1
-                        continue
+                best = advanced._evaluate_candidate(
+                    context, candidate, best.penalty, counters, cache
+                ) or best
+            return best
+        for candidate in sample:
             counters.candidates_evaluated += 1
             result = context.searcher.rank_of_missing(
-                context.query,
-                context.missing,
-                keywords=candidate.keywords,
-                stop_limit=stop_limit,
+                context.query, context.missing, keywords=candidate.keywords
             )
-            if cache is not None:
-                cache.add(result.dominators)
-            if result.aborted:
-                counters.aborted_early += 1
-                continue
-            rank = ensure_not_none(
-                result.rank, "non-aborted rank search returned no rank"
-            )
+            rank = ensure_not_none(result.rank, "unlimited rank search returned no rank")
             penalty = penalty_model.penalty(candidate.delta_doc, rank)
             if penalty < best.penalty:
                 best = RefinedQuery(

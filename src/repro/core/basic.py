@@ -9,13 +9,13 @@ optimizations of Section IV-C have something to beat.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from ..errors import ensure_not_none
 from ..index.setr_tree import SetRTree
 from ..model.query import WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import clock
 from .context import QuestionContext
 from .result import RefinedQuery, SearchCounters, WhyNotAnswer
 
@@ -33,7 +33,7 @@ class BasicAlgorithm:
 
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
         """Return the best refined query for ``question``."""
-        started = time.perf_counter()
+        started = clock()
         io_before = self.tree.stats.snapshot()
         context = QuestionContext.prepare(question, self.tree, self.model)
         counters = SearchCounters()
@@ -62,7 +62,7 @@ class BasicAlgorithm:
             refined=best,
             initial_rank=context.initial_rank,
             algorithm=self.name,
-            elapsed_seconds=time.perf_counter() - started,
+            elapsed_seconds=clock() - started,
             io=self.tree.stats.snapshot() - io_before,
             counters=counters,
         )

@@ -19,7 +19,6 @@ I/O is charged), not because the answers do.
 
 from __future__ import annotations
 
-import time
 from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +27,7 @@ from ..errors import MissingObjectError
 from ..model.objects import Dataset, SpatialObject
 from ..model.query import SpatialKeywordQuery, WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import clock
 from ..storage.stats import IOSnapshot
 from .candidates import CandidateEnumerator
 from .particularity import ParticularityIndex
@@ -206,7 +206,7 @@ class ScanFallback:
         refined query is identical to the fault-free one; only the cost
         profile differs (no index I/O is charged).
         """
-        started = time.perf_counter()
+        started = clock()
         query = question.query
         missing = tuple(self.dataset.get(oid) for oid in question.missing)
         table = self._table()  # one packed snapshot for the whole sweep
@@ -252,7 +252,7 @@ class ScanFallback:
             refined=best,
             initial_rank=initial_rank,
             algorithm=self.name,
-            elapsed_seconds=time.perf_counter() - started,
+            elapsed_seconds=clock() - started,
             io=IOSnapshot(0, 0, 0, 0),
             counters=counters,
             degraded=True,

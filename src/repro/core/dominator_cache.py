@@ -76,11 +76,6 @@ class DominatorCache:
         with self._lock:
             self._ingest(oids)
 
-    def add(self, oids: Iterable[int]) -> None:
-        """Alias for :meth:`record_dominators` (kept for callers that
-        predate the guarded surface)."""
-        self.record_dominators(oids)
-
     def _ingest(self, oids: Iterable[int]) -> None:
         for oid in oids:
             if oid not in self._docs:

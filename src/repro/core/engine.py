@@ -312,7 +312,6 @@ class WhyNotEngine:
         """
         index = self.sharded_index
         results = index.searcher("setr", self.model).top_k(query)
-        index.runtime.consume_discount()
         events = tuple(index.runtime.fault_events)
         return TopKOutcome(results=results, degraded=bool(events), events=events)
 
@@ -335,9 +334,9 @@ class WhyNotEngine:
 
         Storage faults never propagate: the shard fan-out contains
         them per shard tree, so the answer is always the exact one —
-        flagged ``degraded`` while any shard tree is down.  The fan-out
-        discount (``Σ busy − max busy`` per parallel region) is
-        subtracted here, reporting the makespan-simulated elapsed time.
+        flagged ``degraded`` while any shard tree is down.  The elapsed
+        time is read on :mod:`repro.storage.clock`'s makespan clock, so
+        each shard fan-out counts as its slowest shard.
         """
         if method not in METHODS:
             raise InvalidParameterError(
@@ -347,9 +346,6 @@ class WhyNotEngine:
         answer = self._algorithm(
             method, index, sample_size, n_threads, options
         ).answer(question)
-        answer.elapsed_seconds = max(
-            0.0, answer.elapsed_seconds - index.runtime.consume_discount()
-        )
         if index.runtime.fault_events:
             answer.degraded = True
             answer.fault_events = tuple(index.runtime.fault_events)

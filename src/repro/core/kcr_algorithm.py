@@ -30,7 +30,7 @@ case — one in-process traversal, one node per round, the paper's
 per-node schedule.  A :class:`~repro.index.sharded.ShardedIndex` runs
 one traversal per shard behind its ``kcr_init``/``kcr_step`` worker
 ops, one :meth:`~repro.index.sharded.ShardedIndex.request_many`
-broadcast per round (which books the round's makespan discount).  The
+broadcast per round (one region on the makespan clock).  The
 sharded answer is bit-identical to the unsharded one:
 
 * every object lives in exactly one shard and shards share the global
@@ -50,7 +50,6 @@ sharded answer is bit-identical to the unsharded one:
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -62,6 +61,7 @@ from ..index.sharded import Shard, ShardedIndex
 from ..model.objects import SpatialObject
 from ..model.query import SpatialKeywordQuery, WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import clock
 from .bounds import NodeTextStats, max_dom, min_dom
 from .candidates import Candidate
 from .context import QuestionContext
@@ -158,7 +158,7 @@ class KcRAlgorithm:
     # ------------------------------------------------------------------
     def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
         """Return the best refined query for ``question``."""
-        started = time.perf_counter()
+        started = clock()
         io_before = self.tree.stats.snapshot()
         context = QuestionContext.prepare(question, self.tree, self.model)
         counters = SearchCounters()
@@ -177,7 +177,7 @@ class KcRAlgorithm:
             refined=best,
             initial_rank=context.initial_rank,
             algorithm=self.name,
-            elapsed_seconds=time.perf_counter() - started,
+            elapsed_seconds=clock() - started,
             io=self.tree.stats.snapshot() - io_before,
             counters=counters,
         )

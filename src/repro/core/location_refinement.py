@@ -25,7 +25,6 @@ apply.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import InvalidParameterError, ensure_not_none
@@ -33,6 +32,7 @@ from ..index.rtree import RTreeBase
 from ..model.geometry import Point
 from ..model.query import WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import clock
 from .alpha_refinement import AlphaRefinementAlgorithm
 from .context import QuestionContext
 from .result import RefinedQuery, SearchCounters, WhyNotAnswer
@@ -86,7 +86,7 @@ class LocationRefinementAlgorithm:
         The winning location rides on the returned answer as the
         ``refined_loc`` attribute (``None`` when the basic refinement
         wins)."""
-        started = time.perf_counter()
+        started = clock()
         io_before = self.tree.stats.snapshot()
         context = QuestionContext.prepare(question, self.tree, self.model)
         counters = SearchCounters()
@@ -143,7 +143,7 @@ class LocationRefinementAlgorithm:
             refined=best,
             initial_rank=context.initial_rank,
             algorithm=self.name,
-            elapsed_seconds=time.perf_counter() - started,
+            elapsed_seconds=clock() - started,
             io=self.tree.stats.snapshot() - io_before,
             counters=counters,
         )

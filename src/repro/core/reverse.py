@@ -21,7 +21,6 @@ since only rank ≤ k qualifies.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
@@ -30,6 +29,7 @@ from ..index.rtree import RTreeBase
 from ..index.search import TopKSearcher
 from ..model.query import SpatialKeywordQuery
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import clock
 
 __all__ = ["ReverseMatch", "ReverseKeywordSearch"]
 
@@ -86,7 +86,7 @@ class ReverseKeywordSearch:
         target's own document); ``max_size`` caps candidate subset
         sizes.  Returns qualifying sets sorted best-rank-first.
         """
-        started = time.perf_counter()
+        started = clock()
         target = self.tree.dataset.get(target_oid)
         keywords = frozenset(pool) if pool is not None else target.doc
         if not keywords:
@@ -130,5 +130,5 @@ class ReverseKeywordSearch:
             matches=tuple(matches),
             candidates_examined=examined,
             aborted_early=aborted,
-            elapsed_seconds=time.perf_counter() - started,
+            elapsed_seconds=clock() - started,
         )

@@ -200,14 +200,14 @@ def sharded_whynot_unit(
     """One cold-buffer why-not query over a sharded engine.
 
     The recorded latency is the engine's ``answer.elapsed_seconds``,
-    which follows the makespan convention of ``repro.core.parallel``:
-    each shard fan-out round contributes driver time plus the *slowest
-    shard's CPU busy* — the slack a round would have overlapped across
-    workers is discounted whether the overlap was simulated in-process
-    or dispatched to real worker processes (whose wall-clock overlap
-    depends on the host's core count and is therefore not what the
-    baseline pins).  Unsharded units keep plain wall time; the two
-    agree on a serial host by construction.  ``reference`` (the
+    read on :mod:`repro.storage.clock`'s makespan clock: each shard
+    fan-out round contributes driver time plus the *slowest shard's
+    CPU busy*, and the rest of the round is booked as overlap — whether
+    the shards ran in turn in-process or in real worker processes
+    (whose wall-clock overlap depends on the host's core count and is
+    therefore not what the baseline pins).  A one-shard round books
+    nothing, so unsharded units keep plain wall time; the two agree on
+    a serial host by construction.  ``reference`` (the
     matching unsharded unit) stamps a ``parity_with_unsharded`` flag —
     sharded execution is bit-identical by contract, so ``False`` here
     is a correctness bug, not noise.

@@ -33,12 +33,12 @@ Inserts and removes go to the shard owning the object's tile
 (:meth:`ShardedIndex.insert` / :meth:`ShardedIndex.remove`), which
 updates its dataset and its built trees.
 
-Parallelism follows :mod:`repro.core.parallel`'s two-mode convention:
-the default ``simulate`` mode measures per-shard busy time and reports
-the fan-out's makespan by accumulating ``Σ busy − max busy`` into a
-discount the engine subtracts from the answer's elapsed time; the
-``process`` mode runs real forked workers.  Queries never write shard
-data (the flow checker's worker-read-only contract covers
+Shards run in one of two modes: ``simulate`` runs them in-process in
+turn, ``process`` in real forked workers.  Either way a fan-out is
+reported on :mod:`repro.storage.clock`'s makespan clock: each round
+books ``wall − max(per-shard busy)`` as overlap, so an answer's
+elapsed time counts the slowest shard of each round.  Queries never
+write shard data (the flow checker's worker-read-only contract covers
 :func:`_worker_execute`); a KcR traversal's worker state is keyed by
 its batch token, so concurrent fan-outs over one index stay apart.
 """
@@ -81,6 +81,7 @@ from ..model.geometry import Point, Rect
 from ..model.objects import Dataset, SpatialObject
 from ..model.query import SpatialKeywordQuery
 from ..model.similarity import JACCARD, SimilarityModel
+from ..storage.clock import book_overlap, clock
 from ..storage.faults import FaultInjector
 from ..storage.stats import IOSnapshot, IOStatistics
 from .entries import ChildEntry
@@ -717,9 +718,9 @@ class _SimulateBackend:
         self.state: Dict[str, Any] = {}
 
     def request(self, message: Tuple) -> Tuple[Any, float]:
-        started = time.perf_counter()
+        started = clock()
         payload = _dispatch_op(self.shard, self.state, message)
-        return payload, time.perf_counter() - started
+        return payload, clock() - started
 
     def close(self) -> None:
         self.state.clear()
@@ -743,8 +744,8 @@ def _shard_worker_main(conn: Any, shard: Shard) -> None:
         before = {kind: shard.stats[kind].snapshot() for kind in KINDS}
         # CPU time, not wall: concurrent workers on fewer cores get
         # time-sliced, and a wall-clock "busy" would count the slices
-        # spent running *other* shards.  The makespan discount needs
-        # the work this shard actually did.
+        # spent running *other* shards.  The makespan clock needs the
+        # work this shard actually did.
         started = time.process_time()
         try:
             payload = _dispatch_op(shard, state, message)
@@ -916,24 +917,15 @@ def _scan_rank(
 # runtime accounting and the tree-like views
 # ----------------------------------------------------------------------
 class _ShardRuntime:
-    """Mutable cross-query accounting for one sharded index.
+    """Mutable cross-query fault accounting for one sharded index.
 
-    ``discount_seconds`` accumulates ``Σ busy − max busy`` per parallel
-    fan-out region (the makespan-simulation convention of
-    :mod:`repro.core.parallel`); the engine subtracts and resets it per
-    answer.  ``down`` holds ``(tid, kind)`` pairs of quarantined shard
-    trees and ``fault_events`` the storage faults that caused them.
+    ``down`` holds ``(tid, kind)`` pairs of quarantined shard trees and
+    ``fault_events`` the storage faults that caused them.
     """
 
     def __init__(self) -> None:
-        self.discount_seconds = 0.0
         self.fault_events: List[Any] = []
         self.down: set = set()
-
-    def consume_discount(self) -> float:
-        discount = self.discount_seconds
-        self.discount_seconds = 0.0
-        return discount
 
 
 class _AggregateStats:
@@ -1004,21 +996,16 @@ class ShardedSearcher:
         self.index = index
         self.kind = kind
         self.model = model
-        self.stats = index.runtime  # busy-discount / fault accounting bag
 
     # -- helpers -------------------------------------------------------
     def _shards(self) -> List[Shard]:
         return [shard for shard in self.index.shards if not shard.is_empty]
 
     def _is_down(self, shard: Shard) -> bool:
-        return (shard.tid, self.kind) in self.stats.down
+        return (shard.tid, self.kind) in self.index.runtime.down
 
     def _mark_down(self, shard: Shard, operation: str, exc: StorageError) -> None:
         self.index.mark_down(shard, self.kind, operation, exc)
-
-    def _discount(self, busys: Sequence[float]) -> None:
-        if len(busys) > 1:
-            self.stats.discount_seconds += sum(busys) - max(busys)
 
     def score_object(
         self,
@@ -1064,18 +1051,17 @@ class ShardedSearcher:
             ordered.append((reply[0], shard.tid, shard))
         ordered.sort(key=lambda item: (-item[0], item[1]))
 
+        # The shard searches run in turn (each may skip on the running
+        # k-th score) but are booked as one parallel region.
+        region = clock()
         search_busys: List[float] = []
         merged: List[Tuple[float, int]] = []
         for bound, _, shard in ordered:
             if len(merged) >= limit and bound < merged[-1][0]:
                 continue  # cannot contribute: every score <= bound < kth
-            if self._is_down(shard):
-                started = time.perf_counter()
-                part = _scan_top_k(
-                    shard.dataset, query, limit, doc, self.model
-                )
-                search_busys.append(time.perf_counter() - started)
-            else:
+            part: Optional[List[Tuple[float, int]]] = None
+            started = clock()
+            if not self._is_down(shard):
                 try:
                     part, busy = self.index.request(
                         shard, ("top_k", self.kind, query, limit, doc)
@@ -1083,15 +1069,14 @@ class ShardedSearcher:
                     search_busys.append(busy)
                 except StorageError as exc:
                     self._mark_down(shard, "top_k", exc)
-                    started = time.perf_counter()
-                    part = _scan_top_k(
-                        shard.dataset, query, limit, doc, self.model
-                    )
-                    search_busys.append(time.perf_counter() - started)
+                    started = clock()
+            if part is None:
+                part = _scan_top_k(shard.dataset, query, limit, doc, self.model)
+                search_busys.append(clock() - started)
             merged.extend(part)
             merged.sort(key=lambda pair: (-pair[0], pair[1]))
             del merged[limit:]
-        self._discount(search_busys)
+        book_overlap(region, search_busys, len(search_busys))
         return merged
 
     # -- rank determination --------------------------------------------
@@ -1107,7 +1092,7 @@ class ShardedSearcher:
         # Every shard runs the same capped dominator search with no
         # inter-shard dependency, so the fan-out broadcasts: in process
         # mode the shards genuinely compute concurrently, and
-        # ``request_many`` books the round's makespan discount.
+        # ``request_many`` books the round's overlap.
         live = [s for s in self._shards() if not self._is_down(s)]
         message = ("rank", self.kind, query, missing_tuple, keywords, stop_limit)
         replies = self.index.request_many(
@@ -1202,8 +1187,7 @@ class ShardedIndex:
         # must not race the per-shard build bookkeeping.
         self._build_lock = threading.Lock()
         # Guards what concurrent queries share through the fan-out:
-        # the lazily created backends, the makespan discount every
-        # round accrues and the quarantine set.
+        # the lazily created backends and the quarantine set.
         self._runtime_lock = threading.Lock()
         # Process mode: one fan-out at a time owns the worker pipes,
         # from its first submit to its last collect, so concurrent
@@ -1385,16 +1369,17 @@ class ShardedIndex:
         In process mode every message is written to its worker pipe
         *before* any reply is read, so the shards compute concurrently;
         simulate mode runs them sequentially in-process.  Either way
-        the round's makespan discount is accounted here: the reported
-        busy values are per-shard CPU time, so ``round wall − max(busy)``
-        is exactly the portion an N-worker deployment overlaps, and the
-        recorded elapsed converges to ``driver time + Σ max-per-round``
-        regardless of the host's core count.  A per-shard
+        the round is one region on :mod:`repro.storage.clock`: the
+        reported busy values are per-shard CPU time, so the round books
+        ``round wall − max(busy)`` — exactly the portion an N-worker
+        deployment overlaps — and an answer's elapsed time converges to
+        ``driver time + Σ max-per-round`` regardless of the host's core
+        count.  A per-shard
         :class:`StorageError` is returned in place instead of raised,
         so one failed shard cannot discard its siblings' replies;
         non-storage failures (a dead worker) still propagate.
         """
-        started = time.perf_counter()
+        started = clock()
         results: List[Union[Tuple[Any, float], StorageError]] = []
         if self.mode == "process":
             backends = [self._backend(shard) for shard, _ in batch]
@@ -1412,14 +1397,8 @@ class ShardedIndex:
                     results.append(self.request(shard, message))
                 except StorageError as exc:
                     results.append(exc)
-        if len(batch) > 1:
-            busys = [reply[1] for reply in results if not isinstance(reply, StorageError)]
-            if busys:
-                round_wall = time.perf_counter() - started
-                with self._runtime_lock:
-                    self.runtime.discount_seconds += max(
-                        0.0, round_wall - max(busys)
-                    )
+        busys = [reply[1] for reply in results if not isinstance(reply, StorageError)]
+        book_overlap(started, busys, len(batch))
         return results
 
     def mark_down(

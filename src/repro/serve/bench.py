@@ -2,7 +2,7 @@
 
 A single-core container cannot *run* thousands of concurrent users,
 but it can *simulate* them exactly, which is the same trick the
-sharded index uses for fan-out (the makespan discount): measure what
+sharded index uses for fan-out (the makespan clock): measure what
 each piece of work costs in ``time.process_time`` busy seconds, then
 replay the fleet in **virtual time** where those costs overlap across
 ``W`` simulated workers.  Wall clock never enters the books, so the

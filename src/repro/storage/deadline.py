@@ -22,8 +22,8 @@ before this module existed.
 
 Deadlines are measured on :func:`time.monotonic`.  They bound *real
 elapsed time* — a user-facing latency promise — and are therefore
-deliberately outside the makespan-discount convention used for
-*reported figures* (`process_time` busy accounting); a deadline that
+deliberately outside :mod:`repro.storage.clock`'s makespan clock used
+for *reported figures*; a deadline that
 ignored sleep/backoff time would not bound anything a client can
 observe.
 """

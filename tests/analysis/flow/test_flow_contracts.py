@@ -38,13 +38,13 @@ class TestSeededRegression:
             for violation in report.violations
             if violation.rule == "worker-read-only"
         }
-        nested_worker = "repro.core.parallel.ParallelAdvanced._run_threads.worker"
-        assert nested_worker in by_entry
-        chain = by_entry[nested_worker].chain
+        worker_entry = "repro.core.advanced.AdvancedAlgorithm._evaluate_candidate"
+        assert worker_entry in by_entry
+        chain = by_entry[worker_entry].chain
         assert len(chain) == 3
-        assert chain[0].startswith(nested_worker)
+        assert chain[0].startswith(worker_entry)
         assert chain[1].startswith(
-            "repro.core.parallel.ParallelAdvanced._evaluate_candidate"
+            "repro.core.advanced.AdvancedAlgorithm._share_dominators"
         )
         assert chain[2].startswith(
             "repro.core.dominator_cache.DominatorCache.ingest_unguarded"
@@ -291,11 +291,11 @@ class TestContractBoundaries:
                         with self._lock:
                             self._docs.extend(oids)
                 """,
-                "repro/core/parallel.py": """
+                "repro/core/advanced.py": """
                 from .dominator_cache import DominatorCache
 
 
-                class ParallelAdvanced:
+                class AdvancedAlgorithm:
                     def __init__(self, cache: DominatorCache) -> None:
                         self.cache = cache
 

@@ -37,8 +37,9 @@ class TestRepoWide:
         assert "shared-write" not in record
         # BufferPool.fetch is the blessed I/O surface.
         assert "buffer-io" in sigs["repro.storage.buffer_pool.BufferPool.fetch"]
-        # The parallel worker path stays read-only on shared state.
-        worker_entry = "repro.core.parallel.ParallelAdvanced._evaluate_candidate"
+        # Per-candidate evaluation (Opt4's worker unit) stays read-only
+        # on shared state.
+        worker_entry = "repro.core.advanced.AdvancedAlgorithm._evaluate_candidate"
         assert "shared-write" not in sigs[worker_entry]
 
     def test_checked_in_baseline_is_empty(self):

@@ -25,8 +25,8 @@ def _setup():
 class TestCacheAccumulation:
     def test_add_deduplicates(self):
         _, _, _, cache = _setup()
-        cache.add([1, 2])
-        cache.add([2, 3])
+        cache.record_dominators([1, 2])
+        cache.record_dominators([2, 3])
         assert len(cache) == 3
 
     def test_empty_cache_counts_zero(self):
@@ -37,7 +37,7 @@ class TestCacheAccumulation:
 class TestCounting:
     def test_count_matches_scorer(self):
         dataset, query, missing, cache = _setup()
-        cache.add([1, 2, 3, 4])
+        cache.record_dominators([1, 2, 3, 4])
         scorer = Scorer(dataset)
         for keywords in (frozenset({1, 2}), frozenset({2, 3}), frozenset({1})):
             threshold = scorer.st_with_keywords(missing[0], query, keywords)
@@ -51,7 +51,7 @@ class TestCounting:
 
     def test_limit_short_circuits(self):
         dataset, query, missing, cache = _setup()
-        cache.add([1, 2, 3, 4])
+        cache.record_dominators([1, 2, 3, 4])
         keywords = frozenset({1, 2})
         full = cache.count_dominating(keywords, limit=100)
         if full >= 1:
@@ -61,7 +61,7 @@ class TestCounting:
         dataset, query, _, _ = _setup()
         missing = [dataset.get(0), dataset.get(4)]
         cache = DominatorCache(dataset, query, missing, JACCARD)
-        cache.add([1, 2, 3])
+        cache.record_dominators([1, 2, 3])
         scorer = Scorer(dataset)
         keywords = frozenset({1, 2})
         threshold = min(

@@ -1,13 +1,22 @@
 """Tests for the parallel candidate processing (Fig 10)."""
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import (
     InvalidParameterError,
+    KcRAlgorithm,
     ParallelAdvanced,
     ParallelKcR,
+    WhyNotEngine,
 )
 from repro.core.parallel import makespan
+from repro.storage.clock import clock
+
+from .test_io_exactness import _world
 
 
 class TestMakespan:
@@ -39,8 +48,6 @@ class TestParallelAdvanced:
     def test_validation(self, euro_engine):
         with pytest.raises(InvalidParameterError):
             ParallelAdvanced(euro_engine.setr_tree, 0)
-        with pytest.raises(InvalidParameterError):
-            ParallelAdvanced(euro_engine.setr_tree, 2, mode="warp")
 
     def test_simulated_answer_is_exact(self, euro_engine, euro_cases):
         question = euro_cases[0]
@@ -64,34 +71,24 @@ class TestParallelAdvanced:
         ).elapsed_seconds
         assert t8 <= t1 * 1.5
 
-    def test_real_threads_mode_exact(self, euro_engine, euro_cases):
-        question = euro_cases[0]
-        exact = euro_engine.answer(question, method="kcr")
-        answer = euro_engine.answer(
-            question, method="parallel-advanced", n_threads=4, mode="threads"
-        )
-        assert answer.refined.penalty == pytest.approx(exact.refined.penalty)
-
     def test_name(self, euro_engine):
         assert ParallelAdvanced(euro_engine.setr_tree, 4).name == "AdvancedBS-P4"
 
     def test_filtering_toggle_stays_exact(self, euro_engine, euro_cases):
         """Opt3 dominator sharing is a pure pruning optimisation: the
-        answer must be identical with it on or off, in both modes."""
+        answer must be identical with it on or off."""
         question = euro_cases[2]
         exact = euro_engine.answer(question, method="kcr")
-        for mode in ("simulate", "threads"):
-            for filtering in (True, False):
-                answer = euro_engine.answer(
-                    question,
-                    method="parallel-advanced",
-                    n_threads=4,
-                    mode=mode,
-                    filtering=filtering,
-                )
-                assert answer.refined.penalty == pytest.approx(
-                    exact.refined.penalty
-                ), (mode, filtering)
+        for filtering in (True, False):
+            answer = euro_engine.answer(
+                question,
+                method="parallel-advanced",
+                n_threads=4,
+                filtering=filtering,
+            )
+            assert answer.refined.penalty == pytest.approx(
+                exact.refined.penalty
+            ), filtering
 
     def test_cache_prune_skips_bad_candidate_without_io(self, euro_engine, euro_cases):
         """A candidate whose cached dominators already exceed the stop
@@ -151,3 +148,135 @@ class TestParallelKcR:
 
     def test_name(self, euro_engine):
         assert ParallelKcR(euro_engine.kcr_tree, 2).name == "KcRBased-P2"
+
+
+# ----------------------------------------------------------------------
+# Opt4 runs AdvancedBS's and KcRBased's own loops
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def exactness_world():
+    dataset, questions = _world()
+    engine = WhyNotEngine(dataset)
+    yield engine, questions
+    engine.close()
+
+
+def _outcome(answer):
+    refined = answer.refined
+    io = answer.io
+    return (
+        tuple(sorted(refined.keywords)),
+        refined.k,
+        refined.penalty,
+        answer.initial_rank,
+        # The I/O fields that stay deterministic under REPRO_FAULTS
+        # (retry counts follow the injector's stream, not the answer).
+        (io.page_reads, io.page_writes, io.node_fetches, io.buffer_hits),
+        answer.counters,
+    )
+
+
+@pytest.mark.parametrize(
+    "method, n_threads, reference",
+    [
+        ("parallel-advanced", 1, "advanced"),
+        ("parallel-advanced", 4, "advanced"),
+        ("parallel-advanced", 8, "advanced"),
+        ("parallel-kcr", 1, "kcr"),
+    ],
+)
+def test_opt4_matches_its_sequential_algorithm(
+    exactness_world, method, n_threads, reference
+):
+    """Same refined query, I/O and every algorithm counter as the
+    sequential algorithm whose loop Opt4 schedules."""
+    engine, questions = exactness_world
+    for question in questions:
+        engine.reset_buffers()
+        expected = _outcome(engine.answer(question, reference))
+        engine.reset_buffers()
+        got = _outcome(engine.answer(question, method, n_threads=n_threads))
+        assert got == expected
+
+
+# ----------------------------------------------------------------------
+# elapsed time on the makespan clock
+# ----------------------------------------------------------------------
+def _booked():
+    """The overlap booked so far in this context (to within the few
+    hundred nanoseconds between the two timer reads)."""
+    return time.perf_counter() - clock()
+
+
+@pytest.mark.parametrize("method", ["parallel-advanced", "parallel-kcr"])
+def test_opt4_books_its_overlap(exactness_world, method):
+    """At one shard only Opt4 books overlap: questions with dozens of
+    candidate units on four workers overlap by far more than 0.1 ms."""
+    engine, questions = exactness_world
+    for question in questions[2:]:
+        before = _booked()
+        engine.answer(question, method, n_threads=4)
+        assert _booked() > before + 1e-4
+
+
+@pytest.fixture(scope="module")
+def four_shard_world():
+    dataset, questions = _world()
+    engine = WhyNotEngine(dataset, shards=4)
+    for kind in ("setr", "kcr"):
+        engine.sharded_index.ensure_built(kind)
+    yield engine, questions
+    engine.close()
+
+
+def _timed(engine, question, method, **options):
+    started = time.perf_counter()
+    answer = engine.answer(question, method, **options)
+    return answer.elapsed_seconds, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("method", ["parallel-advanced", "parallel-kcr"])
+def test_sharded_opt4_elapsed_is_positive_and_within_wall(four_shard_world, method):
+    engine, questions = four_shard_world
+    for question in questions:
+        elapsed, wall = _timed(engine, question, method, n_threads=4)
+        assert 0.0 < elapsed <= wall
+
+
+@pytest.mark.parametrize("method", ["advanced", "kcr"])
+def test_shard_fan_out_books_its_overlap(four_shard_world, method):
+    """Each four-shard round runs its shards in turn and books all but
+    the slowest shard's busy time."""
+    engine, questions = four_shard_world
+    for question in questions:
+        before = _booked()
+        engine.answer(question, method)
+        assert _booked() > before + 1e-4
+
+
+def test_direct_algorithm_leaves_no_overlap_for_the_next_answer(four_shard_world):
+    engine, questions = four_shard_world
+    for question in questions:
+        KcRAlgorithm(engine.sharded_index).answer(question)
+        elapsed, wall = _timed(engine, question, "advanced")
+        assert 0.0 < elapsed <= wall
+
+
+def test_concurrent_answers_keep_their_own_overlap(four_shard_world):
+    """A kcr and an advanced answer racing on one index: neither may
+    take the overlap the other's shard rounds booked."""
+    engine, questions = four_shard_world
+    barrier = threading.Barrier(2, timeout=30)
+
+    def run(method, question):
+        barrier.wait()
+        return _timed(engine, question, method)
+
+    for question in questions[2:]:
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                timings = list(
+                    pool.map(run, ("kcr", "advanced"), (question, question))
+                )
+            for elapsed, wall in timings:
+                assert 0.0 < elapsed <= wall
